@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from . import closed, verify
+from . import closed, oracle, verify
 from .series import ZSeries, coeff_x, zseries_of
 from .strip import Direction, bounded_f, bounded_g, dp_counts, stabilized
 
@@ -44,11 +44,14 @@ def _nonneg(value: str) -> int:
 def _budget() -> int:
     raw = os.environ.get("DEUTSCH_BUDGET")
     if raw is None:
-        return 16
+        return oracle.DEFAULT_BUDGET
     try:
-        return max(int(raw), 0)
+        budget = int(raw)
     except ValueError:
-        return 16
+        raise UsageError(f"DEUTSCH_BUDGET must be an integer, got {raw!r}") from None
+    if budget < 0:
+        raise UsageError(f"DEUTSCH_BUDGET must be nonnegative, got {budget}")
+    return budget
 
 
 def cmd_triangle(args: argparse.Namespace) -> int:

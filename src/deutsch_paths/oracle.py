@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import VerificationFailure
 from .strip import Direction
@@ -43,68 +43,71 @@ def _steps(direction: Direction, level: int, cap: int) -> Iterator[int]:
             yield level - 1
 
 
+def _walk(direction: Direction, n: int, height: Optional[int], top: int,
+          budget: int, visit: Callable[[list[int]], None]) -> None:
+    """Call visit(c_0..c_n) on every path of length n that stays in the strip
+    [0, height] (if given) and ends at a level <= top.
+
+    Pruning lemma: an RL path's only down-step is -1, so from level l with r
+    steps left it ends at a level >= l - r.  An RL up-step at position pos
+    (r = n - pos - 1 steps after it) is thus taken only up to top + r.  LR
+    paths are not pruned: their odd down-steps can drop any distance.
+    """
+    if n < 0 or (height is not None and height < 0):
+        raise ValueError("length and height must be nonnegative")
+    if n > budget:
+        raise ValueError(f"length {n} exceeds enumeration budget {budget}")
+    rl = direction is Direction.RL
+    path = [0]
+
+    def walk(pos: int, level: int) -> None:
+        if pos == n:
+            if level <= top:
+                visit(path)
+            return
+        cap = top + n - pos - 1 if rl else n
+        for nxt in _steps(direction, level, cap if height is None else min(cap, height)):
+            path.append(nxt)
+            walk(pos + 1, nxt)
+            path.pop()
+
+    walk(0, 0)
+
+
 def enumerate_paths(
     direction: Direction,
     n: int,
     height: Optional[int] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> OracleReport:
-    """Depth-first walk over every legal path of length n.
+    """Exhaustive walk over every legal path of length n.
 
-    Only counts and the closed-path area are accumulated; the paths
-    themselves are not materialized.  Unbounded RL paths have infinitely
-    many endpoints (arbitrarily large up-steps), so the walk runs on a
-    ladder up to 2n and the histogram keeps only the complete levels <= n.
+    Only counts and the closed-path area are accumulated.  Unbounded RL paths
+    have infinitely many endpoints, so the histogram keeps the levels <= n
+    only; by the lemma of _walk, an RL step to nxt with r steps after it is
+    skipped when nxt - r > n, a ceiling n + r that falls with the position.
     """
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    if n > budget:
-        raise ValueError(f"length {n} exceeds enumeration budget {budget}")
-    if height is not None:
-        cap = height
-    else:
-        cap = n if direction is Direction.LR else 2 * n
     by_level: Counter[int] = Counter()
     total_area = 0
 
-    def walk(pos: int, level: int, area: int) -> None:
+    def visit(path: list[int]) -> None:
         nonlocal total_area
-        if pos == n:
-            by_level[level] += 1
-            if level == 0:
-                total_area += area
-            return
-        for nxt in _steps(direction, level, cap):
-            walk(pos + 1, nxt, area + nxt)
+        by_level[path[-1]] += 1
+        if path[-1] == 0:
+            total_area += sum(path)
 
-    walk(0, 0, 0)
-    if height is None:
-        by_level = Counter({k: v for k, v in by_level.items() if k <= n})
+    _walk(direction, n, height, n if height is None else height, budget, visit)
     return OracleReport(direction, n, height, dict(by_level), by_level[0], total_area)
 
 
 def generate_closed(
     direction: Direction, n: int, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[int, ...]]:
-    """All closed paths of length n as ordinate tuples c_0..c_n."""
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    if n > budget:
-        raise ValueError(f"length {n} exceeds enumeration budget {budget}")
+    """All closed paths of length n as ordinate tuples c_0..c_n.  By the lemma
+    of _walk an RL path closes only if its level l <= r, the steps left, so
+    an RL up-step to nxt > n - pos - 1 is skipped."""
     out: list[tuple[int, ...]] = []
-    path = [0]
-
-    def walk(pos: int, level: int) -> None:
-        if pos == n:
-            if level == 0:
-                out.append(tuple(path))
-            return
-        for nxt in _steps(direction, level, n):
-            path.append(nxt)
-            walk(pos + 1, nxt)
-            path.pop()
-
-    walk(0, 0)
+    _walk(direction, n, None, 0, budget, lambda path: out.append(tuple(path)))
     return out
 
 
@@ -113,8 +116,6 @@ def reverse_check(n: int, budget: int = 14) -> dict[str, int]:
     RL paths, and that the area multiset survives the reversal."""
     if n % 2 != 0:
         raise ValueError("closed paths have even length")
-    if n > budget:
-        raise ValueError(f"length {n} exceeds enumeration budget {budget}")
     lr = generate_closed(Direction.LR, n, budget=budget)
     rl = generate_closed(Direction.RL, n, budget=budget)
     reversed_lr = {tuple(reversed(p)) for p in lr}
@@ -122,9 +123,7 @@ def reverse_check(n: int, budget: int = 14) -> dict[str, int]:
         raise VerificationFailure(f"reversal is not injective at n={n}")
     if reversed_lr != set(rl):
         raise VerificationFailure(f"reversed LR paths != RL paths at n={n}")
-    lr_areas = Counter(sum(p) for p in lr)
-    rl_areas = Counter(sum(p) for p in rl)
-    if lr_areas != rl_areas:
+    if Counter(map(sum, lr)) != Counter(map(sum, rl)):
         raise VerificationFailure(f"area multisets differ under reversal at n={n}")
     return {"length": n, "closed_paths": len(lr)}
 

@@ -48,6 +48,8 @@ def dp_counts(direction: Direction, n_max: int, height: Optional[int] = None) ->
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    if height is not None and height < 0:
+        raise ValueError("height must be nonnegative")
     if direction is Direction.LR:
         ladder = n_max if height is None else min(height, n_max)
         report = n_max if height is None else min(height, n_max)

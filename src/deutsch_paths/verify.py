@@ -173,7 +173,7 @@ def suite_reversal(n_max: int = 14, budget: int = 14) -> SuiteReport:
     rep = SuiteReport("reversal")
     for n in range(0, n_max + 1, 2):
         try:
-            info = oracle.reverse_check(n, budget=max(budget, n_max))
+            info = oracle.reverse_check(n, budget=budget)
             rep.add(f"reversal bijection at n={n}", True, f"{info['closed_paths']} paths")
         except VerificationFailure as exc:
             rep.add(f"reversal bijection at n={n}", False, str(exc))
@@ -221,6 +221,16 @@ def run_suites(
     nmax: int | None = None,
     budget: int = oracle.DEFAULT_BUDGET,
 ) -> list[SuiteReport]:
+    """Run the named suites in order.  The oracle lengths that `nmax` sets
+    (2*nmax for `area`, nmax for `reversal`) are checked against the budget
+    before any suite runs, so an over-budget request does no work."""
+    area_nmax = nmax if nmax is not None else 3
+    reversal_nmax = nmax if nmax is not None else 14
+    for name, length in (("area", 2 * area_nmax), ("reversal", reversal_nmax)):
+        if name in names and length > budget:
+            raise ValueError(
+                f"{name} suite: oracle length {length} exceeds enumeration budget {budget}"
+            )
     reports = []
     for name in names:
         if name == "dp-closed":
@@ -228,15 +238,11 @@ def run_suites(
         elif name == "cramer":
             reports.append(suite_cramer())
         elif name == "area":
-            reports.append(
-                suite_area(nmax if nmax is not None else 3, budget=budget)
-            )
+            reports.append(suite_area(area_nmax, budget=budget))
         elif name == "roots":
             reports.append(suite_roots())
         elif name == "reversal":
-            reports.append(
-                suite_reversal(nmax if nmax is not None else 14, budget=budget)
-            )
+            reports.append(suite_reversal(reversal_nmax, budget=budget))
         elif name == "paper-lists":
             reports.append(suite_paper_lists())
         elif name == "identities":

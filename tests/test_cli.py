@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from deutsch_paths import verify
 from deutsch_paths.cli import main
 
 
@@ -121,3 +122,31 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "bogus"])
         assert exc.value.code == 2
+
+
+class TestBudget:
+    @pytest.mark.parametrize("raw", ["abc", "1.5", "-1"])
+    def test_bad_budget_is_usage_error(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("DEUTSCH_BUDGET", raw)
+        code = main(["verify", "--suite", "paper-lists"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "DEUTSCH_BUDGET" in captured.err
+
+    def test_nmax_cannot_bypass_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("DEUTSCH_BUDGET", "10")
+        assert run(capsys, "verify", "--suite", "reversal", "--nmax", "12")[0] == 2
+        monkeypatch.setenv("DEUTSCH_BUDGET", "12")
+        assert run(capsys, "verify", "--suite", "reversal", "--nmax", "12")[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv", [["--suite", "area", "--nmax", "20"], ["--suite", "all", "--nmax", "9"]]
+    )
+    def test_over_budget_fails_before_any_suite(self, capsys, monkeypatch, argv):
+        ran = []
+        for name in ("suite_dp_closed", "suite_cramer", "suite_area"):
+            monkeypatch.setattr(verify, name, lambda *a, _n=name, **k: ran.append(_n))
+        code = main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out, ran) == (2, "", [])
+        assert "exceeds enumeration budget 16" in captured.err

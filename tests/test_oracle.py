@@ -1,7 +1,11 @@
 """Brute-force oracle against the DP tables and the area formulas."""
 
+import itertools
+from collections import Counter
+
 import pytest
 
+from deutsch_paths.closed import cat3
 from deutsch_paths.errors import VerificationFailure
 from deutsch_paths.oracle import (
     area_check,
@@ -29,6 +33,11 @@ class TestEnumerate:
     def test_budget_enforced(self):
         with pytest.raises(ValueError):
             enumerate_paths(Direction.LR, 17)
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_negative_height_rejected(self, direction):
+        with pytest.raises(ValueError, match="height"):
+            enumerate_paths(direction, 0, height=-1)
 
     @pytest.mark.parametrize("direction", list(Direction))
     def test_matches_dp_unbounded(self, direction):
@@ -75,11 +84,57 @@ class TestGenerateClosed:
         assert generate_closed(Direction.LR, 0) == [(0,)]
 
 
+def _raw_paths(direction, n, height, top):
+    """Unpruned reference: every sequence of n raw steps, kept when it stays
+    in [0, height] and ends at a level <= top.  The alphabet holds every step
+    a kept path can take.  An LR drop starts below n and under the height.
+    An RL up-step s either leaves the strip or is followed by n - 1 steps of
+    at least -1, so the path ends at >= s - (n - 1), and s <= top + n - 1."""
+    if direction is Direction.LR:
+        deepest = n - 1 if height is None else height
+        alphabet = (1, *range(-1, -deepest - 1, -2))
+    else:
+        highest = top + n - 1 if height is None else height
+        alphabet = (-1, *range(1, highest + 1, 2))
+    for steps in itertools.product(alphabet, repeat=n):
+        path = (0, *itertools.accumulate(steps))
+        if min(path) >= 0 and path[-1] <= top and (height is None or max(path) <= height):
+            yield path
+
+
+class TestPruningAgainstRawSteps:
+    """The pruned walker against raw step sequences, for n <= 8.  Unbounded
+    RL stops at n = 6: its alphabet makes (n + 1)**n sequences, 43 million
+    at n = 8."""
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("height", [None, 0, 1, 3])
+    def test_enumerate_paths(self, direction, height):
+        n_top = 6 if direction is Direction.RL and height is None else 8
+        for n in range(n_top + 1):
+            top = n if height is None else height
+            ref = list(_raw_paths(direction, n, height, top))
+            rep = enumerate_paths(direction, n, height=height)
+            assert rep.by_level == Counter(p[-1] for p in ref), (n, height)
+            assert rep.closed_count == sum(p[-1] == 0 for p in ref)
+            assert rep.total_area == sum(sum(p) for p in ref if p[-1] == 0)
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_generate_closed(self, direction):
+        for n in range(9):
+            ref = sorted(_raw_paths(direction, n, None, 0))
+            assert sorted(generate_closed(direction, n)) == ref, n
+
+
 class TestReverseCheck:
-    @pytest.mark.parametrize("n", range(0, 15, 2))
+    @pytest.mark.parametrize("n", range(0, 17, 2))
     def test_bijection(self, n):
-        info = reverse_check(n)
-        assert info["length"] == n
+        info = reverse_check(n, budget=16)
+        assert info == {"length": n, "closed_paths": cat3(n // 2)}
+
+    def test_default_budget(self):
+        with pytest.raises(ValueError, match="budget 14"):
+            reverse_check(16)
 
     def test_counts(self):
         assert reverse_check(4)["closed_paths"] == 3

@@ -51,6 +51,11 @@ class TestDpCounts:
     def test_row_zero(self):
         assert dp_counts(Direction.RL, 5).rows[0] == (1,)
 
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_negative_height_rejected(self, direction):
+        with pytest.raises(ValueError, match="height"):
+            dp_counts(direction, 5, height=-1)
+
 
 class TestSequences:
     def test_a3(self):
