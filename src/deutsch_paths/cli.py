@@ -1,8 +1,11 @@
 """Command-line frontend.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error.  All integer
-output is exact decimal; json documents are rendered canonically (sorted
-keys, fixed separators) so that parse + re-render is byte-identical.
+Exit codes: 0 success, 1 verification mismatch, 2 usage error (bad
+arguments or environment, rejected before any work starts), 3 internal
+error (a bug; the traceback goes to stderr).  The `verify --suite` names and
+their order come from `verify.SUITES`.  All integer output is exact decimal;
+json documents are rendered canonically (sorted keys, fixed separators) so
+that parse + re-render is byte-identical.
 """
 
 from __future__ import annotations
@@ -11,9 +14,11 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import closed, oracle, verify
-from .series import ZSeries, coeff_x, zseries_of
+from .errors import UsageError
+from .series import coeff_x
 from .strip import Direction, bounded_f, bounded_g, dp_counts, stabilized
 
 FORMATS = ("text", "csv", "json")
@@ -108,7 +113,7 @@ def cmd_area(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    names = verify.all_suite_names() if args.suite == "all" else [args.suite]
+    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     reports = verify.run_suites(names, nmax=args.nmax, budget=_budget())
     all_passed = all(r.passed for r in reports)
     if args.format == "json":
@@ -144,10 +149,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_passed else 1
 
 
-class UsageError(Exception):
-    pass
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deutsch-paths",
@@ -177,12 +178,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_area)
 
     p = sub.add_parser("verify", help="run cross-validation suites")
+    p.add_argument("--suite", choices=["all", *verify.SUITES], default="all")
     p.add_argument(
-        "--suite",
-        choices=["all", *verify.SUITES, "identities"],
-        default="all",
+        "--nmax",
+        type=_nonneg,
+        default=None,
+        help="a path length for dp-closed and reversal, a half-length for area "
+        "(its oracle enumerates length 2*nmax), ignored by the other suites; "
+        "unset, each suite uses its own default",
     )
-    p.add_argument("--nmax", type=_nonneg, default=None)
     p.add_argument("--format", choices=FORMATS, default="text")
     p.set_defaults(func=cmd_verify)
     return parser
@@ -196,9 +200,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -69,12 +69,7 @@ class GClosedForm:
     summands: tuple[tuple[int, TRational], ...]
 
     def to_series(self, order: int) -> ZSeries:
-        acc = ZSeries.zero(order)
-        for zshift, piece in self.summands:
-            acc = acc + zseries_of(
-                TRational(piece.numer, piece.pow1t, piece.pow13t, zshift), order
-            )
-        return acc
+        return ZSeries(tuple(self.coefficient(n) for n in range(order + 1)))
 
     def coefficient(self, n: int) -> int:
         total = 0

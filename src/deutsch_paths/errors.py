@@ -7,3 +7,7 @@ class ConsistencyError(RuntimeError):
 
 class VerificationFailure(Exception):
     """A verification suite found a genuine mismatch."""
+
+
+class UsageError(ValueError):
+    """Bad arguments or environment, detected before any work starts."""

@@ -61,7 +61,6 @@ class Report:
     """Outcome of a numeric verification; failures carry the identity name
     and the residual."""
 
-    checks: int = 0
     failures: list[str] = field(default_factory=list)
 
     @property
@@ -69,7 +68,6 @@ class Report:
         return not self.failures
 
     def check(self, name: str, residual: float, tol: float) -> None:
-        self.checks += 1
         if not abs(residual) < tol:
             self.failures.append(f"{name}: residual {residual:.3e} >= {tol:.1e}")
 

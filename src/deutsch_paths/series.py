@@ -43,10 +43,6 @@ class IntPoly:
     def __getitem__(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(tuple(self[k] + other[k] for k in range(n)))
-
     def __sub__(self, other: "IntPoly") -> "IntPoly":
         n = max(len(self.coeffs), len(other.coeffs))
         return IntPoly(tuple(self[k] - other[k] for k in range(n)))
@@ -182,11 +178,6 @@ class ZSeries:
             inv[k] = -c0 * acc
         return ZSeries(tuple(inv))
 
-    def truncate(self, new_order: int) -> "ZSeries":
-        if not 0 <= new_order <= self.order:
-            raise ValueError("can only truncate to a smaller order")
-        return ZSeries(self.coeffs[: new_order + 1])
-
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
 
@@ -233,22 +224,6 @@ class TRational:
 
     def drop_zshift(self) -> "TRational":
         return TRational(self.numer, self.pow1t, self.pow13t, 0)
-
-    def __add__(self, other: "TRational") -> "TRational":
-        if self.zshift != other.zshift:
-            raise ValueError("cannot add TRationals with different z prefactors")
-        a = max(self.pow1t, other.pow1t)
-        b = max(self.pow13t, other.pow13t)
-
-        def lift(f: "TRational") -> IntPoly:
-            num = f.numer
-            for _ in range(a - f.pow1t):
-                num = num * ONE_MINUS_T
-            for _ in range(b - f.pow13t):
-                num = num * ONE_MINUS_3T
-            return num
-
-        return TRational(lift(self) + lift(other), a, b, self.zshift)
 
 
 T_OVER_ONE = TRational(IntPoly((0, 1)))  # plain t

@@ -87,44 +87,37 @@ def dp_counts(direction: Direction, n_max: int, height: Optional[int] = None) ->
 # the two auxiliary coefficient sequences
 # ---------------------------------------------------------------------------
 
+def _three_term(init: tuple[ZSeries, ZSeries, ZSeries], n: int, step) -> ZSeries:
+    """Term n of u_k = step(u_{k-3}, u_{k-2}, u_{k-1}) with u_0, u_1, u_2 = init."""
+    vals = init
+    for _ in range(n - 2):
+        vals = vals[1:] + (step(*vals),)
+    return vals[min(n, 2)]
+
+
 def seq_a(n: int, order: int) -> ZSeries:
     """Coefficient of X^n in 1/(1 - X + z^2 X^3); zero series for n < 0."""
     if n < 0:
         return ZSeries.zero(order)
-    vals = [ZSeries.one(order)] * 3  # a0 = a1 = a2 = 1
-    if n < 3:
-        return vals[n]
-    for _ in range(3, n + 1):
-        nxt = vals[2] - vals[0].shift(2)
-        vals = [vals[1], vals[2], nxt]
-    return vals[2]
+    one = ZSeries.one(order)  # a0 = a1 = a2 = 1
+    return _three_term((one, one, one), n, lambda u3, u2, u1: u1 - u3.shift(2))
 
 
 def seq_b(n: int, order: int) -> ZSeries:
     """Coefficient of Y^n in 1/(1 - Y^2 - z Y^3); zero series for n < 0."""
     if n < 0:
         return ZSeries.zero(order)
-    vals = [ZSeries.one(order), ZSeries.zero(order), ZSeries.one(order)]
-    if n < 3:
-        return vals[n]
-    for _ in range(3, n + 1):
-        nxt = vals[1] + vals[0].shift(1)
-        vals = [vals[1], vals[2], nxt]
-    return vals[2]
+    one, zero = ZSeries.one(order), ZSeries.zero(order)
+    return _three_term((one, zero, one), n, lambda u3, u2, u1: u2 + u3.shift(1))
 
 
 def det_d(m: int, order: int) -> ZSeries:
     """Determinant of the m x m system matrix: d_m = d_{m-1} - z^2 d_{m-3}."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    vals = [ZSeries.one(order), ZSeries.one(order),
-            ZSeries.one(order) - ZSeries.monomial(2, order)]
-    if m < 3:
-        return vals[m]
-    for _ in range(3, m + 1):
-        nxt = vals[2] - vals[0].shift(2)
-        vals = [vals[1], vals[2], nxt]
-    return vals[2]
+    one = ZSeries.one(order)
+    init = (one, one, one - ZSeries.monomial(2, order))
+    return _three_term(init, m, lambda d3, d2, d1: d1 - d3.shift(2))
 
 
 def delta(m: int, q: int, order: int) -> ZSeries:
@@ -148,9 +141,10 @@ def delta(m: int, q: int, order: int) -> ZSeries:
 # direct determinants over Z[z] (independent oracle)
 # ---------------------------------------------------------------------------
 
-def _lr_matrix_poly(m: int) -> list[list[IntPoly]]:
-    """LR system matrix over Z[z]: 1 on the diagonal, -z on the subdiagonal
-    and at every odd offset above the diagonal."""
+def _system_matrix(direction: Direction, m: int) -> list[list[IntPoly]]:
+    """The m x m system matrix over Z[z].  LR has 1 on the diagonal, -z on
+    the subdiagonal and at every odd offset above the diagonal; RL is its
+    transpose."""
     one = IntPoly((1,))
     mz = IntPoly((0, -1))
     zero = IntPoly()
@@ -165,6 +159,8 @@ def _lr_matrix_poly(m: int) -> list[list[IntPoly]]:
             else:
                 row.append(zero)
         mat.append(row)
+    if direction is Direction.RL:
+        mat = [list(row) for row in zip(*mat)]
     return mat
 
 
@@ -178,11 +174,10 @@ def det_direct(m: int, order: int, q: Optional[int] = None) -> ZSeries:
         raise ValueError("m must be nonnegative")
     if m == 0:
         return ZSeries.one(order)
-    mat = _lr_matrix_poly(m)
+    if q is not None and not 1 <= q <= m:
+        raise ValueError(f"need 1 <= q <= m, got q={q}")
+    mat = _system_matrix(Direction.LR if q is None else Direction.RL, m)
     if q is not None:
-        if not 1 <= q <= m:
-            raise ValueError(f"need 1 <= q <= m, got q={q}")
-        mat = [list(row) for row in zip(*mat)]  # transpose -> RL matrix
         for i in range(m):
             mat[i][q - 1] = IntPoly((1,)) if i == 0 else IntPoly()
     sign = 1
@@ -253,9 +248,7 @@ def solve_system(direction: Direction, h: int, order: int) -> list[ZSeries]:
     if h < 0:
         raise ValueError("h must be nonnegative")
     m = h + 1
-    polys = _lr_matrix_poly(m)
-    if direction is Direction.RL:
-        polys = [list(row) for row in zip(*polys)]
+    polys = _system_matrix(direction, m)
     mat = [[ZSeries(tuple(p[k] for k in range(order + 1))) for p in row] for row in polys]
     rhs = [ZSeries.one(order)] + [ZSeries.zero(order)] * (m - 1)
 

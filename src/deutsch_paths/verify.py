@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import closed, oracle, published, roots
-from .errors import VerificationFailure
+from .errors import UsageError, VerificationFailure
 from .series import coeff_x, t_series, zseries_of
 from .strip import (
     Direction,
@@ -25,9 +25,6 @@ from .strip import (
     solve_system,
     stabilized,
 )
-
-SUITES = ("dp-closed", "cramer", "area", "roots", "reversal", "paper-lists")
-
 
 @dataclass
 class CheckResult:
@@ -215,42 +212,40 @@ def suite_identities() -> SuiteReport:
     return rep
 
 
+# name -> (runner(nmax, budget), default nmax, oracle length per unit of nmax),
+# in run order.  `nmax` is a length for dp-closed and reversal, a half-length
+# for area (its oracle enumerates length 2*nmax), and ignored by the rest.
+# The runners look each suite up as a module global at call time, so a
+# suite replaced on this module (by a tracer or a test) is the one that runs.
+SUITES = {
+    "dp-closed": (lambda n, b: suite_dp_closed(n), 20, 0),
+    "cramer": (lambda n, b: suite_cramer(), None, 0),
+    "area": (lambda n, b: suite_area(n, budget=b), 3, 2),
+    "roots": (lambda n, b: suite_roots(), None, 0),
+    "reversal": (lambda n, b: suite_reversal(n, budget=b), 14, 1),
+    "paper-lists": (lambda n, b: suite_paper_lists(), None, 0),
+    "identities": (lambda n, b: suite_identities(), None, 0),
+}
+
+
 def run_suites(
     names: list[str],
     *,
     nmax: int | None = None,
     budget: int = oracle.DEFAULT_BUDGET,
 ) -> list[SuiteReport]:
-    """Run the named suites in order.  The oracle lengths that `nmax` sets
-    (2*nmax for `area`, nmax for `reversal`) are checked against the budget
-    before any suite runs, so an over-budget request does no work."""
-    area_nmax = nmax if nmax is not None else 3
-    reversal_nmax = nmax if nmax is not None else 14
-    for name, length in (("area", 2 * area_nmax), ("reversal", reversal_nmax)):
-        if name in names and length > budget:
-            raise ValueError(
-                f"{name} suite: oracle length {length} exceeds enumeration budget {budget}"
-            )
-    reports = []
+    """Run the named suites in order.  Unknown names and oracle lengths over
+    the budget raise `UsageError` before any suite runs, so a bad request
+    does no work."""
+    plan = []
     for name in names:
-        if name == "dp-closed":
-            reports.append(suite_dp_closed(nmax if nmax is not None else 20))
-        elif name == "cramer":
-            reports.append(suite_cramer())
-        elif name == "area":
-            reports.append(suite_area(area_nmax, budget=budget))
-        elif name == "roots":
-            reports.append(suite_roots())
-        elif name == "reversal":
-            reports.append(suite_reversal(reversal_nmax, budget=budget))
-        elif name == "paper-lists":
-            reports.append(suite_paper_lists())
-        elif name == "identities":
-            reports.append(suite_identities())
-        else:
-            raise ValueError(f"unknown suite {name!r}")
-    return reports
-
-
-def all_suite_names() -> list[str]:
-    return list(SUITES) + ["identities"]
+        if name not in SUITES:
+            raise UsageError(f"unknown suite {name!r}")
+        runner, default, per_nmax = SUITES[name]
+        n = default if nmax is None else nmax
+        if per_nmax and per_nmax * n > budget:
+            raise UsageError(
+                f"{name} suite: oracle length {per_nmax * n} exceeds enumeration budget {budget}"
+            )
+        plan.append((runner, n))
+    return [runner(n, budget) for runner, n in plan]

@@ -1,11 +1,21 @@
 """CLI surface: flags, formats, exit codes, round-tripping."""
 
+import argparse
+import importlib
+import importlib.util
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deutsch_paths import verify
-from deutsch_paths.cli import main
+from deutsch_paths.cli import build_parser, main
+from deutsch_paths.errors import ConsistencyError
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run(capsys, *argv):
@@ -150,3 +160,122 @@ class TestBudget:
         captured = capsys.readouterr()
         assert (code, captured.out, ran) == (2, "", [])
         assert "exceeds enumeration budget 16" in captured.err
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc", [ValueError, ConsistencyError])
+    def test_internal_error_is_exit3(self, capsys, monkeypatch, exc):
+        def broken():
+            raise exc("boom")
+
+        monkeypatch.setattr(verify, "suite_paper_lists", broken)
+        code = main(["verify", "--suite", "paper-lists"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert "internal error:" in captured.err and "Traceback" in captured.err
+
+
+class TestSuiteRegistry:
+    def test_verify_all_json_matches_reference(self, capsys, monkeypatch):
+        monkeypatch.delenv("DEUTSCH_BUDGET", raising=False)
+        code, out = run(capsys, "verify", "--suite", "all", "--format", "json")
+        assert code == 0
+        assert out == (PERFBENCH / "verify_all.json").read_text()
+
+    def test_suite_choices_come_from_registry(self):
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+        assert suite.choices == ["all", *verify.SUITES]
+
+    @pytest.mark.parametrize("name", list(verify.SUITES))
+    def test_patched_suite_is_the_one_run(self, monkeypatch, name):
+        sentinel = verify.SuiteReport(name)
+        monkeypatch.setattr(
+            verify, "suite_" + name.replace("-", "_"), lambda *a, **k: sentinel
+        )
+        assert verify.run_suites([name]) == [sentinel]
+
+    def test_unknown_suite_fails_before_any_suite(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(verify, "suite_paper_lists", lambda: ran.append(1))
+        with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+            verify.run_suites(["paper-lists", "bogus"])
+        assert ran == []
+
+
+def test_tracer_layers_resolve():
+    """Every (module, attribute) the benchmark's layer tracer wraps exists;
+    methods must be defined on the class itself, where the tracer patches.
+    Every registered verify suite is traced."""
+    spec = importlib.util.spec_from_file_location("tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    traced = {attr for _, mod, attr, *_ in tracing.LAYERS if mod == "verify"}
+    assert traced == {"suite_" + name.replace("-", "_") for name in verify.SUITES}
+    for _, mod, attr, *_ in tracing.LAYERS:
+        module = importlib.import_module(f"deutsch_paths.{mod}")
+        owner, _, name = attr.rpartition(".")
+        if owner:
+            assert name in vars(getattr(module, owner)), f"{mod}.{attr}"
+        else:
+            assert callable(getattr(module, name, None)), f"{mod}.{attr}"
+
+
+_NUM = st.integers(-1, 8).map(str)
+_FORMAT = st.sampled_from(["text", "csv", "json", "xml"])
+_DIRECTION = st.sampled_from(["lr", "rl", "up"])
+_FLAGS = {
+    "triangle": {"--direction": _DIRECTION, "--n": _NUM, "--height": _NUM, "--format": _FORMAT},
+    "series": {
+        "--direction": _DIRECTION,
+        "--level": _NUM,
+        "--order": _NUM,
+        "--height": _NUM,
+        "--format": _FORMAT,
+    },
+    "area": {"--nmax": _NUM, "--format": _FORMAT},
+    # only the fast suites; --suite is always given, since the default runs all
+    "verify": {
+        "--suite": st.sampled_from(
+            ["dp-closed", "roots", "reversal", "paper-lists", "identities", "bogus"]
+        ),
+        "--nmax": _NUM,
+        "--format": _FORMAT,
+    },
+}
+_JUNK = st.sampled_from(["--bogus", "junk", "3", "-x", "--n=", "lr"])
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = _FLAGS[command]
+    names = draw(st.permutations(sorted(flags)))
+    # each flag is kept 3 times in 4, so many argv get past argument parsing
+    keep = [f for f in names if f == "--suite" or draw(st.integers(0, 3)) > 0]
+    argv = [command]
+    for flag in keep:
+        argv += [flag, draw(flags[flag])]
+    for junk in draw(st.lists(_JUNK, max_size=2)):
+        argv.insert(draw(st.integers(0, len(argv))), junk)
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+def test_random_argv_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "text"
+    if code in (0, 1) and fmt == "json":
+        text = out.getvalue()
+        rendered = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+        assert rendered + "\n" == text
