@@ -167,16 +167,31 @@ class ZSeries:
             return ZSeries.zero(self.order)
         return ZSeries((0,) * p + self.coeffs[: self.order + 1 - p])
 
-    def inverse(self) -> "ZSeries":
-        """Multiplicative inverse; requires constant coefficient +-1."""
-        c0 = self.coeffs[0]
+    def __truediv__(self, other: "ZSeries") -> "ZSeries":
+        """Exact quotient; the divisor needs constant coefficient +-1.
+
+        Solves q * other = self term by term, reading only the divisor's
+        nonzero terms: O(order x nonzero terms of other), so a sparse divisor
+        such as a determinant d_m (a polynomial in z^2) divides cheaply.
+        """
+        self._check_order(other)
+        c0 = other.coeffs[0]
         if c0 not in (1, -1):
             raise ValueError(f"series with constant term {c0} is not invertible over Z")
-        inv = [c0] + [0] * self.order
-        for k in range(1, self.order + 1):
-            acc = sum(self.coeffs[j] * inv[k - j] for j in range(1, k + 1))
-            inv[k] = -c0 * acc
-        return ZSeries(tuple(inv))
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b and j]
+        quot = list(self.coeffs)
+        for k in range(self.order + 1):
+            acc = quot[k]
+            for j, b in terms:
+                if j > k:
+                    break
+                acc -= b * quot[k - j]
+            quot[k] = c0 * acc  # 1/c0 == c0 for a unit
+        return ZSeries(tuple(quot))
+
+    def inverse(self) -> "ZSeries":
+        """Multiplicative inverse; requires constant coefficient +-1."""
+        return ZSeries.one(self.order) / self
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)

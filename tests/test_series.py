@@ -70,6 +70,53 @@ class TestInverse:
         assert s.inverse() * s == ZSeries.one(s.order)
 
 
+def dense_inverse(s):
+    """The unoptimised inverse: every coefficient sums over all earlier ones."""
+    c0 = s.coeffs[0]
+    inv = [c0] + [0] * s.order
+    for k in range(1, s.order + 1):
+        acc = sum(s.coeffs[j] * inv[k - j] for j in range(1, k + 1))
+        inv[k] = -c0 * acc
+    return ZSeries(tuple(inv))
+
+
+@st.composite
+def divisions(draw):
+    """A dividend and a divisor with constant term +-1 at one order; the
+    divisor is dense, even (every other coefficient zero, like d_m), or has
+    only a few nonzero terms."""
+    order = draw(st.integers(0, 24))
+    coeff = st.integers(-9, 9)
+    dividend = draw(st.lists(coeff, min_size=order + 1, max_size=order + 1))
+    tail = draw(st.lists(coeff, min_size=order, max_size=order))
+    shape = draw(st.sampled_from(["dense", "even", "few"]))
+    if shape == "even":
+        tail = [c if j % 2 == 1 else 0 for j, c in enumerate(tail)]
+    elif shape == "few":
+        keep = draw(st.sets(st.integers(0, max(order - 1, 0)), max_size=3))
+        tail = [c if j in keep else 0 for j, c in enumerate(tail)]
+    unit = draw(st.sampled_from([1, -1]))
+    return ZSeries(tuple(dividend)), ZSeries((unit, *tail))
+
+
+class TestDivision:
+    @given(divisions())
+    def test_matches_dense_inverse(self, pair):
+        a, b = pair
+        assert a / b == a * dense_inverse(b)
+        assert (a / b) * b == a
+
+    def test_non_unit_divisor_rejected(self):
+        with pytest.raises(ValueError):
+            zs(1, 2, 3) / zs(2, 1, 0)
+        with pytest.raises(ValueError):
+            zs(1, 2, 3) / zs(0, 1, 0)
+
+    def test_order_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            ZSeries.one(3) / ZSeries.one(4)
+
+
 class TestCoeffX:
     def test_one_over_one_minus_t(self):
         f = TRational(IntPoly((1,)), pow1t=1)

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deutsch_paths.closed import count_rl_closed
 from deutsch_paths.series import ZSeries
 from deutsch_paths.strip import (
     Direction,
@@ -21,6 +22,39 @@ from deutsch_paths.strip import (
 
 def zs(*coeffs):
     return ZSeries(tuple(coeffs))
+
+
+def reference_dp_rows(direction, n_max, height=None):
+    """The unoptimised O(n^2 * ladder) DP: every cell re-sums its parity class."""
+    if direction is Direction.LR:
+        ladder = n_max if height is None else min(height, n_max)
+        report = n_max if height is None else min(height, n_max)
+    else:
+        ladder = 2 * n_max if height is None else height
+        report = n_max if height is None else height
+    prev = [0] * (ladder + 1)
+    prev[0] = 1
+    rows = [(1,)]
+    for n in range(1, n_max + 1):
+        cur = [0] * (ladder + 1)
+        for k in range(ladder + 1):
+            if direction is Direction.LR:
+                acc = prev[k - 1] if k >= 1 else 0
+                j = k + 1
+                while j <= ladder:
+                    acc += prev[j]
+                    j += 2
+            else:
+                acc = prev[k + 1] if k + 1 <= ladder else 0
+                j = k - 1
+                while j >= 0:
+                    acc += prev[j]
+                    j -= 2
+            cur[k] = acc
+        prev = cur
+        reach = n if direction is Direction.LR else report
+        rows.append(tuple(cur[: min(reach, report) + 1]))
+    return tuple(rows)
 
 
 class TestDpCounts:
@@ -55,6 +89,21 @@ class TestDpCounts:
     def test_negative_height_rejected(self, direction):
         with pytest.raises(ValueError, match="height"):
             dp_counts(direction, 5, height=-1)
+
+    @pytest.mark.parametrize("height", [None, 0, 1, 2, 3, 7])
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_matches_unoptimised_loop(self, direction, height):
+        for n_max in range(61):
+            table = dp_counts(direction, n_max, height=height)
+            assert table.rows == reference_dp_rows(direction, n_max, height)
+
+    def test_rl_unbounded_matches_closed_form(self):
+        table = dp_counts(Direction.RL, 120)
+        assert all(
+            table.count(n, i) == count_rl_closed(n, i)
+            for n in range(121)
+            for i in range(13)
+        )
 
 
 class TestSequences:
@@ -161,6 +210,32 @@ class TestStabilized:
     def test_rl_level1(self):
         s = stabilized(Direction.RL, 1, 9)
         assert s == zs(0, 1, 0, 3, 0, 12, 0, 55, 0, 273)
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_equals_separate_quotients(self, direction):
+        quot = bounded_f if direction is Direction.LR else bounded_g
+        for level in range(7):
+            for order in range(31):
+                h = order + level + 2
+                limit = stabilized(direction, level, order)
+                assert limit == quot(level, h, order) == quot(level, h + 1, order)
+
+    @pytest.mark.parametrize("direction, per_pass", [(Direction.LR, 1), (Direction.RL, 2)])
+    @pytest.mark.parametrize("level", [0, 1, 5])
+    def test_one_recurrence_pass(self, monkeypatch, direction, per_pass, level):
+        # subtractions only happen in the d and a recurrences, one per term
+        calls = []
+        sub = ZSeries.__sub__
+
+        def counting_sub(self, other):
+            calls.append(1)
+            return sub(self, other)
+
+        monkeypatch.setattr(ZSeries, "__sub__", counting_sub)
+        order = 100
+        h = order + level + 2
+        stabilized(direction, level, order)
+        assert 0 < len(calls) <= per_pass * (h + 3)
 
     def test_monotone_in_barrier(self):
         for level in (0, 1, 3):
