@@ -65,7 +65,6 @@ class GClosedForm:
     """Closed form of an RL generating function as a sum of z^p-shifted
     rational pieces."""
 
-    level: int
     summands: tuple[tuple[int, TRational], ...]
 
     def to_series(self, order: int) -> ZSeries:
@@ -90,7 +89,7 @@ def g_closed(i: int) -> GClosedForm:
     if i < 0:
         raise ValueError("level must be nonnegative")
     if i == 0:
-        return GClosedForm(0, ((0, f_closed(0).drop_zshift()),))
+        return GClosedForm(((0, f_closed(0).drop_zshift()),))
     pieces: list[tuple[int, TRational]] = []
     for k in range(1, i // 2 + 1):
         c = binom(i - 1 - k, k - 1)
@@ -104,7 +103,7 @@ def g_closed(i: int) -> GClosedForm:
             pieces.append(
                 (i - 2 * k, TRational(IntPoly((c,)), pow1t=2 * i + 1 - 3 * k))
             )
-    return GClosedForm(i, tuple(pieces))
+    return GClosedForm(tuple(pieces))
 
 
 def count_rl_closed(n: int, i: int) -> int:

@@ -17,9 +17,6 @@ DEFAULT_BUDGET = 16
 class OracleReport:
     """Histogram of endpoints plus the cumulative area over closed paths."""
 
-    direction: Direction
-    length: int
-    height: Optional[int]
     by_level: dict[int, int]
     closed_count: int
     total_area: int
@@ -97,7 +94,7 @@ def enumerate_paths(
             total_area += sum(path)
 
     _walk(direction, n, height, n if height is None else height, budget, visit)
-    return OracleReport(direction, n, height, dict(by_level), by_level[0], total_area)
+    return OracleReport(dict(by_level), by_level[0], total_area)
 
 
 def generate_closed(
@@ -111,7 +108,7 @@ def generate_closed(
     return out
 
 
-def reverse_check(n: int, budget: int = 14) -> dict[str, int]:
+def reverse_check(n: int, budget: int = DEFAULT_BUDGET) -> dict[str, int]:
     """Verify that reversing every closed LR path gives exactly the closed
     RL paths, and that the area multiset survives the reversal."""
     if n % 2 != 0:

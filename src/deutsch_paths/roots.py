@@ -15,6 +15,7 @@ from .series import zseries_of
 from .strip import Direction, seq_a, seq_b, stabilized
 
 DISC_RADIUS_SQ = 4.0 / 27.0  # singularity of t(x) sits at t = 1/3
+TOL = 1e-10  # bound on every residual of the certification
 
 
 @dataclass(frozen=True)
@@ -72,37 +73,29 @@ class Report:
             self.failures.append(f"{name}: residual {residual:.3e} >= {tol:.1e}")
 
 
-def t_of_z(z: float, tol: float = 1e-13) -> float:
-    """Numeric branch t(0)=0 of t(1-t)^2 = z^2, by Newton iteration."""
+def t_of_z(z: float) -> float:
+    """Branch t(0)=0 of t(1-t)^2 = z^2, by Viete's trigonometric solution of
+    the cubic: t = 4/3 sin^2(acos(1 - 27 z^2 / 2) / 6)."""
     zz = z * z
     if zz >= DISC_RADIUS_SQ:
         raise ValueError(f"z^2 = {zz:.6f} outside the disc of radius 4/27")
-    if z == 0.0:
-        return 0.0
-    t = zz
-    for _ in range(200):
-        res = t * (1 - t) ** 2 - zz
-        if abs(res) < tol:
-            return t
-        deriv = (1 - t) * (1 - 3 * t)
-        t -= res / deriv
-    raise ArithmeticError("Newton iteration for t(z) did not converge")
+    return 4 / 3 * math.sin(math.acos(1 - 27 * zz / 2) / 6) ** 2
 
 
-def verify_factorizations(rs: RootSet, tol: float = 1e-10) -> Report:
+def verify_factorizations(rs: RootSet) -> Report:
     """Symmetric-function identities of the two cubic factorizations."""
     rep = Report()
     r1, r2, r3 = rs.r1, rs.r2, rs.r3
     m1, m2, m3 = rs.mu1, rs.mu2, rs.mu3
     zz = rs.z * rs.z
-    rep.check("r1+r2+r3 = 1", r1 + r2 + r3 - 1, tol)
-    rep.check("r1r2+r1r3+r2r3 = 0", r1 * r2 + r1 * r3 + r2 * r3, tol)
-    rep.check("r1r2r3 = -z^2", r1 * r2 * r3 + zz, tol)
-    rep.check("mu1+mu2+mu3 = 0", m1 + m2 + m3, tol)
-    rep.check("sum mu_i mu_j = -1", m1 * m2 + m1 * m3 + m2 * m3 + 1, tol)
-    rep.check("mu1 mu2 mu3 = z", m1 * m2 * m3 - rs.z, tol)
-    rep.check("mu2+mu3 = z/(1-t)", m2 + m3 - rs.z / (1 - rs.t), tol)
-    rep.check("mu2 mu3 = t-1", m2 * m3 - (rs.t - 1), tol)
+    rep.check("r1+r2+r3 = 1", r1 + r2 + r3 - 1, TOL)
+    rep.check("r1r2+r1r3+r2r3 = 0", r1 * r2 + r1 * r3 + r2 * r3, TOL)
+    rep.check("r1r2r3 = -z^2", r1 * r2 * r3 + zz, TOL)
+    rep.check("mu1+mu2+mu3 = 0", m1 + m2 + m3, TOL)
+    rep.check("sum mu_i mu_j = -1", m1 * m2 + m1 * m3 + m2 * m3 + 1, TOL)
+    rep.check("mu1 mu2 mu3 = z", m1 * m2 * m3 - rs.z, TOL)
+    rep.check("mu2+mu3 = z/(1-t)", m2 + m3 - rs.z / (1 - rs.t), TOL)
+    rep.check("mu2 mu3 = t-1", m2 * m3 - (rs.t - 1), TOL)
     return rep
 
 
@@ -120,7 +113,7 @@ def _b_closed(rs: RootSet, n: int) -> float:
     return pre * (rs.a * rs.mu1**n + rs.b * rs.mu2**n + rs.c * rs.mu3**n)
 
 
-def verify_an_bn(rs: RootSet, n_max: int, tol: float = 1e-9) -> Report:
+def verify_an_bn(rs: RootSet, n_max: int) -> Report:
     """Radical closed forms of a_n and b_n against the exact recurrences,
     both evaluated at the numeric z of the RootSet."""
     if rs.t > 1 / 3 - 0.03:
@@ -130,12 +123,12 @@ def verify_an_bn(rs: RootSet, n_max: int, tol: float = 1e-9) -> Report:
     for n in range(n_max + 1):
         exact_a = seq_a(n, order).eval_float(rs.z)
         exact_b = seq_b(n, order).eval_float(rs.z)
-        rep.check(f"a_{n}", _a_closed(rs, n) - exact_a, tol)
-        rep.check(f"b_{n}", _b_closed(rs, n) - exact_b, tol)
+        rep.check(f"a_{n}", _a_closed(rs, n) - exact_a, TOL)
+        rep.check(f"b_{n}", _b_closed(rs, n) - exact_b, TOL)
     return rep
 
 
-def verify_g_numeric(i: int, order: int, z: float, tol: float = 1e-9) -> Report:
+def verify_g_numeric(i: int, order: int, z: float) -> Report:
     """Numeric mu-form of g_i against the stabilized truncated series.
 
     The comparison allows for truncation by adding the magnitude of the last
@@ -160,5 +153,5 @@ def verify_g_numeric(i: int, order: int, z: float, tol: float = 1e-9) -> Report:
             2 * (1 - t) ** (i + 2)
         ) * power_diff
     rep = Report()
-    rep.check(f"g_{i}(z={z})", value - partial, tol + abs(last))
+    rep.check(f"g_{i}(z={z})", value - partial, TOL + abs(last))
     return rep

@@ -84,7 +84,6 @@ class IntPoly:
         return IntPoly(tuple(q)), IntPoly(tuple(rem))
 
 
-ONE_MINUS_T = IntPoly((1, -1))
 ONE_MINUS_3T = IntPoly((1, -3))
 
 
@@ -116,10 +115,10 @@ class ZSeries:
         return cls((1,) + (0,) * order)
 
     @classmethod
-    def monomial(cls, power: int, order: int, coeff: int = 1) -> "ZSeries":
+    def monomial(cls, power: int, order: int) -> "ZSeries":
         cs = [0] * (order + 1)
         if 0 <= power <= order:
-            cs[power] = coeff
+            cs[power] = 1
         return cls(tuple(cs))
 
     @property
@@ -209,10 +208,7 @@ class ZSeries:
 
 @dataclass(frozen=True)
 class TRational:
-    """Formal expression numer(t) / ((1-t)^a (1-3t)^b) with a prefactor z^p.
-
-    Canonical form keeps the numerator free of (1-t) and (1-3t) factors.
-    """
+    """Formal expression numer(t) / ((1-t)^a (1-3t)^b) with a prefactor z^p."""
 
     numer: IntPoly = field(default_factory=lambda: IntPoly((1,)))
     pow1t: int = 0
@@ -222,20 +218,6 @@ class TRational:
     def __post_init__(self) -> None:
         if self.pow1t < 0 or self.pow13t < 0 or self.zshift < 0:
             raise ValueError("exponents of a TRational must be nonnegative")
-        num, a, b = self.numer, self.pow1t, self.pow13t
-        while a > 0 and not num.is_zero():
-            q, r = num.divmod_by(ONE_MINUS_T)
-            if not r.is_zero():
-                break
-            num, a = q, a - 1
-        while b > 0 and not num.is_zero():
-            q, r = num.divmod_by(ONE_MINUS_3T)
-            if not r.is_zero():
-                break
-            num, b = q, b - 1
-        object.__setattr__(self, "numer", num)
-        object.__setattr__(self, "pow1t", a)
-        object.__setattr__(self, "pow13t", b)
 
     def drop_zshift(self) -> "TRational":
         return TRational(self.numer, self.pow1t, self.pow13t, 0)

@@ -43,8 +43,9 @@ def dp_counts(direction: Direction, n_max: int, height: Optional[int] = None) ->
     Unbounded LR paths never exceed level n_max, but unbounded RL paths may
     overshoot the reported levels and come back with -1 steps, so the RL
     recursion runs on a ladder up to 2*n_max (a path ending at k <= n never
-    exceeds k + n).  LR row n keeps levels 0..min(n, h); RL rows keep every
-    level up to min(h, n_max), since a single up-step reaches any odd level.
+    exceeds k + n).  LR row n keeps levels 0..min(n, h); RL rows from n = 1
+    on keep levels 0..h in a strip (0..n_max unbounded), since a single
+    up-step reaches any odd level.
 
     An LR cell is c_n(k) = c_{n-1}(k-1) + S(k+1), where S(j) = c_{n-1}(j) +
     S(j+2) is a running suffix sum over one parity class of the ladder, so a

@@ -47,7 +47,7 @@ class SuiteReport:
         self.checks.append(CheckResult(name, passed, detail))
 
 
-def suite_dp_closed(nmax: int = 20) -> SuiteReport:
+def suite_dp_closed(nmax: int) -> SuiteReport:
     """Closed-form counts against unbounded dynamic programming."""
     rep = SuiteReport("dp-closed")
     lr = dp_counts(Direction.LR, nmax)
@@ -80,11 +80,9 @@ def suite_dp_closed(nmax: int = 20) -> SuiteReport:
     return rep
 
 
-def suite_cramer(h_max: int = 10, order: int = 20, m_max: int = 12) -> SuiteReport:
-    """DP = Cramer quotient = banded solve, plus the determinant oracles."""
-    rep = SuiteReport("cramer")
-    ok = True
-    detail = ""
+def _three_way_mismatch(h_max: int, order: int) -> str:
+    """The first (direction, h, level) where the DP column, the Cramer
+    quotient and the banded solve disagree, or "" if they never do."""
     for direction in Direction:
         quot = bounded_f if direction is Direction.LR else bounded_g
         for h in range(h_max + 1):
@@ -94,10 +92,16 @@ def suite_cramer(h_max: int = 10, order: int = 20, m_max: int = 12) -> SuiteRepo
                 cram = quot(level, h, order)
                 dp_col = tuple(table.count(n, level) for n in range(order + 1))
                 if cram.coeffs != dp_col or cram != sol[level]:
-                    ok = False
-                    detail = f"{direction.value} h={h} level={level}"
-                    break
-    rep.add(f"three-way equality (h<={h_max}, order {order})", ok, detail)
+                    return f"{direction.value} h={h} level={level}"
+    return ""
+
+
+def suite_cramer() -> SuiteReport:
+    """DP = Cramer quotient = banded solve, plus the determinant oracles."""
+    rep = SuiteReport("cramer")
+    h_max, order, m_max = 10, 20, 12
+    detail = _three_way_mismatch(h_max, order)
+    rep.add(f"three-way equality (h<={h_max}, order {order})", not detail, detail)
 
     ok = all(det_d(m, order) == det_direct(m, order) for m in range(m_max + 1))
     rep.add(f"d_m == direct determinant (m<={m_max})", ok)
@@ -122,9 +126,10 @@ def suite_cramer(h_max: int = 10, order: int = 20, m_max: int = 12) -> SuiteRepo
     return rep
 
 
-def suite_area(oracle_nmax: int = 3, nmax: int = 30, budget: int = oracle.DEFAULT_BUDGET) -> SuiteReport:
+def suite_area(oracle_nmax: int, budget: int) -> SuiteReport:
     """Area identity along all three routes plus the brute-force oracle."""
     rep = SuiteReport("area")
+    nmax = 30
     gf = closed.area_gf()
     conv = closed.area_convolution(2 * nmax)
     bad = [
@@ -145,15 +150,16 @@ def suite_area(oracle_nmax: int = 3, nmax: int = 30, budget: int = oracle.DEFAUL
     return rep
 
 
-def suite_roots(n_max: int = 30) -> SuiteReport:
+def suite_roots() -> SuiteReport:
     """Numeric certification of every radical closed form."""
     rep = SuiteReport("roots")
+    n_max = 30
     grid = [round(0.05 * k, 2) for k in range(1, 7)]  # 0.05 .. 0.30
     for t in grid:
         rs = roots.root_set(t)
-        fact = roots.verify_factorizations(rs, tol=1e-10)
+        fact = roots.verify_factorizations(rs)
         rep.add(f"factorization identities at t={t}", fact.passed, "; ".join(fact.failures))
-        seq = roots.verify_an_bn(rs, n_max, tol=1e-9)
+        seq = roots.verify_an_bn(rs, n_max)
         rep.add(f"a_n/b_n closed forms at t={t} (n<={n_max})", seq.passed, "; ".join(seq.failures))
     ok = all(
         abs(roots.t_of_z(roots.root_set(t).z) - t) < 1e-12 for t in grid
@@ -165,7 +171,7 @@ def suite_roots(n_max: int = 30) -> SuiteReport:
     return rep
 
 
-def suite_reversal(n_max: int = 14, budget: int = 14) -> SuiteReport:
+def suite_reversal(n_max: int, budget: int) -> SuiteReport:
     """Reversal bijection between the two closed-path families."""
     rep = SuiteReport("reversal")
     for n in range(0, n_max + 1, 2):
@@ -220,9 +226,9 @@ def suite_identities() -> SuiteReport:
 SUITES = {
     "dp-closed": (lambda n, b: suite_dp_closed(n), 20, 0),
     "cramer": (lambda n, b: suite_cramer(), None, 0),
-    "area": (lambda n, b: suite_area(n, budget=b), 3, 2),
+    "area": (lambda n, b: suite_area(n, b), 3, 2),
     "roots": (lambda n, b: suite_roots(), None, 0),
-    "reversal": (lambda n, b: suite_reversal(n, budget=b), 14, 1),
+    "reversal": (lambda n, b: suite_reversal(n, b), 14, 1),
     "paper-lists": (lambda n, b: suite_paper_lists(), None, 0),
     "identities": (lambda n, b: suite_identities(), None, 0),
 }

@@ -122,8 +122,8 @@ def test_criterion_8_radical_formulas():
     ok = True
     for t in [round(0.05 * k, 2) for k in range(1, 7)]:
         rs = roots.root_set(t)
-        ok = ok and roots.verify_factorizations(rs, tol=1e-10).passed
-        ok = ok and roots.verify_an_bn(rs, 30, tol=1e-9).passed
+        ok = ok and roots.verify_factorizations(rs).passed
+        ok = ok and roots.verify_an_bn(rs, 30).passed
         z = math.sqrt(t) * (1 - t)
         ok = ok and abs(roots.t_of_z(z) - t) < 1e-12
     report("criterion 8: radical formulas at t in {0.05..0.30}", ok)

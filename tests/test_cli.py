@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from deutsch_paths import verify
 from deutsch_paths.cli import build_parser, main
 from deutsch_paths.errors import ConsistencyError
+from deutsch_paths.series import ZSeries
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -192,10 +193,30 @@ class TestSuiteRegistry:
     @pytest.mark.parametrize("name", list(verify.SUITES))
     def test_patched_suite_is_the_one_run(self, monkeypatch, name):
         sentinel = verify.SuiteReport(name)
-        monkeypatch.setattr(
-            verify, "suite_" + name.replace("-", "_"), lambda *a, **k: sentinel
-        )
-        assert verify.run_suites([name]) == [sentinel]
+        received = []
+
+        def patched(*args, **kwargs):
+            received.append((args, kwargs))
+            return sentinel
+
+        monkeypatch.setattr(verify, "suite_" + name.replace("-", "_"), patched)
+        assert verify.run_suites([name], budget=15) == [sentinel]
+        # the registry is the one home of the defaults: nmax and budget arrive
+        # from it, positionally, and a suite without nmax gets no arguments
+        default = verify.SUITES[name][1]
+        expected = {"dp-closed": (default,), "area": (default, 15), "reversal": (default, 15)}
+        assert received == [(expected.get(name, ()), {})]
+
+    def test_cramer_names_first_mismatch(self, monkeypatch):
+        real = verify.bounded_g
+
+        def broken(level, h, order):
+            g = real(level, h, order)
+            return g + ZSeries.one(order) if h >= 3 else g
+
+        monkeypatch.setattr(verify, "bounded_g", broken)
+        check = verify.suite_cramer().checks[0]
+        assert (check.passed, check.detail) == (False, "rl h=3 level=0")
 
     def test_unknown_suite_fails_before_any_suite(self, monkeypatch):
         ran = []

@@ -133,8 +133,8 @@ class TestReverseCheck:
         assert info == {"length": n, "closed_paths": cat3(n // 2)}
 
     def test_default_budget(self):
-        with pytest.raises(ValueError, match="budget 14"):
-            reverse_check(16)
+        with pytest.raises(ValueError, match="budget 16"):
+            reverse_check(18)
 
     def test_counts(self):
         assert reverse_check(4)["closed_paths"] == 3

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from deutsch_paths.roots import (
     root_set,
@@ -13,6 +14,29 @@ from deutsch_paths.roots import (
 )
 
 T_GRID = [round(0.05 * k, 2) for k in range(1, 7)]
+
+
+def newton_t_of_z(z: float, tol: float = 1e-13) -> float:
+    """The former Newton iteration for t(z), kept as the reference that the
+    closed form is checked against.  It stops once |t(1-t)^2 - z^2| < tol,
+    so its t is within tol / min (1-t)(1-3t) of the root (< 8e-13 for
+    z <= 0.38)."""
+    zz = z * z
+    if z == 0.0:
+        return 0.0
+    t = zz
+    for _ in range(200):
+        res = t * (1 - t) ** 2 - zz
+        if abs(res) < tol:
+            return t
+        t -= res / ((1 - t) * (1 - 3 * t))
+    raise ArithmeticError("Newton iteration for t(z) did not converge")
+
+
+def assert_matches_newton(z: float) -> None:
+    t = t_of_z(z)
+    assert abs(t - newton_t_of_z(z)) < 1e-12, z
+    assert abs(t * (1 - t) ** 2 - z * z) < 1e-15, z
 
 
 class TestTofZ:
@@ -33,11 +57,19 @@ class TestTofZ:
         z = math.sqrt(t) * (1 - t)
         assert abs(t_of_z(z) - t) < 1e-12
 
+    def test_matches_newton_on_grid(self):
+        for k in range(381):
+            assert_matches_newton(k / 1000)  # 0 .. 0.38
+
+    @given(st.floats(0.0, 0.38))
+    def test_matches_newton(self, z):
+        assert_matches_newton(z)
+
 
 class TestFactorizations:
     @pytest.mark.parametrize("t", T_GRID)
     def test_identities(self, t):
-        rep = verify_factorizations(root_set(t), tol=1e-10)
+        rep = verify_factorizations(root_set(t))
         assert rep.passed, rep.failures
 
     def test_r_sum_at_point_one(self):
@@ -55,12 +87,12 @@ class TestFactorizations:
 class TestAnBn:
     @pytest.mark.parametrize("t", T_GRID)
     def test_closed_forms(self, t):
-        rep = verify_an_bn(root_set(t), 30, tol=1e-9)
+        rep = verify_an_bn(root_set(t), 30)
         assert rep.passed, rep.failures
 
     def test_initial_values(self):
         rs = root_set(0.1)
-        rep = verify_an_bn(rs, 2, tol=1e-10)
+        rep = verify_an_bn(rs, 2)
         assert rep.passed
 
     def test_too_close_to_singularity(self):
