@@ -18,7 +18,6 @@ class OracleReport:
     """Histogram of endpoints plus the cumulative area over closed paths."""
 
     by_level: dict[int, int]
-    closed_count: int
     total_area: int
 
 
@@ -94,7 +93,7 @@ def enumerate_paths(
             total_area += sum(path)
 
     _walk(direction, n, height, n if height is None else height, budget, visit)
-    return OracleReport(dict(by_level), by_level[0], total_area)
+    return OracleReport(dict(by_level), total_area)
 
 
 def generate_closed(

@@ -114,13 +114,6 @@ class ZSeries:
     def one(cls, order: int) -> "ZSeries":
         return cls((1,) + (0,) * order)
 
-    @classmethod
-    def monomial(cls, power: int, order: int) -> "ZSeries":
-        cs = [0] * (order + 1)
-        if 0 <= power <= order:
-            cs[power] = 1
-        return cls(tuple(cs))
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
@@ -171,7 +164,7 @@ class ZSeries:
 
         Solves q * other = self term by term, reading only the divisor's
         nonzero terms: O(order x nonzero terms of other), so a sparse divisor
-        such as a determinant d_m (a polynomial in z^2) divides cheaply.
+        divides cheaply.
         """
         self._check_order(other)
         c0 = other.coeffs[0]

@@ -5,12 +5,19 @@ Paths live in the strip 0 <= level <= h.  Left-to-right (LR) paths step
 and -1.  Generating functions for fixed h come from Cramer's rule over the
 banded system matrix, and the unbounded limit is obtained by pushing the
 barrier high enough that the truncated series stabilizes.
+
+The Cramer route computes in x = z^2: the determinants d_m and the terms
+a_n are polynomials in x, and b_n is z^(n mod 2) times one, so every
+quotient is z^(level mod 2) times a series in x.  It streams, multiplies and
+divides integer coefficient lists in x and builds one ZSeries at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count
+from operator import add, mul, sub
 from typing import Iterator, Optional
 
 from .errors import ConsistencyError
@@ -85,41 +92,70 @@ def dp_counts(direction: Direction, n_max: int, height: Optional[int] = None) ->
 
 
 # ---------------------------------------------------------------------------
-# the auxiliary coefficient sequences and the Cramer quotients
+# the auxiliary coefficient sequences and the Cramer quotients, in x = z^2
 # ---------------------------------------------------------------------------
 
-def _three_term(init: tuple[ZSeries, ZSeries, ZSeries], step) -> Iterator[ZSeries]:
-    """Yield u_0, u_1, ... of u_k = step(u_{k-3}, u_{k-2}, u_{k-1}) with
+def _step(u: list[int], v: list[int], shift: int, op, cap: int) -> list[int]:
+    """op(u, x^shift v) termwise, for coefficient lists in x truncated at
+    x^cap: one step of a sequence's recurrence."""
+    n = min(max(len(u), len(v) + shift), cap + 1)
+    w = [0] * shift + v
+    return list(map(op, u + [0] * (n - len(u)), w + [0] * (n - len(w))))
+
+
+def _three_term(init: tuple[list[int], list[int], list[int]], step) -> Iterator[list[int]]:
+    """Yield u_0, u_1, ... of u_n = step(n, u_{n-3}, u_{n-2}, u_{n-1}) with
     u_0, u_1, u_2 = init, holding only the last three terms; a term is
     computed when it is asked for."""
     u3, u2, u1 = init
     yield u3
     yield u2
-    while True:
+    for n in count(3):
         yield u1
-        u3, u2, u1 = u2, u1, step(u3, u2, u1)
+        u3, u2, u1 = u2, u1, step(n, u3, u2, u1)
 
 
-def _sequence(name: str, order: int) -> Iterator[ZSeries]:
-    """The stream of a_n ("a"), b_n ("b") or d_m ("d").  d keeps its own
-    initial terms, so d_m == a_{m+1} is a real check, not an identity."""
-    one, zero = ZSeries.one(order), ZSeries.zero(order)
+def _sequence(name: str, cap: int) -> Iterator[list[int]]:
+    """The stream of a_n ("a"), beta_n ("b") or d_m ("d") as coefficient
+    lists in x = z^2, truncated at x^cap (cap >= 0).
+
+    a_n and d_m are polynomials in x: u_n = u_{n-1} - x u_{n-3}.  d keeps its
+    own initial terms 1, 1, 1 - x, so d_m == a_{m+1} is a real check, not an
+    identity.  b_n = z^(n mod 2) beta_n(x), so b never mixes parities:
+    beta_0, beta_1, beta_2 = 1, 0, 1 and beta_n = beta_{n-2} + x^[n even]
+    beta_{n-3}.
+    """
     if name == "b":
-        return _three_term((one, zero, one), lambda u3, u2, u1: u2 + u3.shift(1))
-    init = (one, one, one) if name == "a" else (one, one, one - ZSeries.monomial(2, order))
-    return _three_term(init, lambda u3, u2, u1: u1 - u3.shift(2))
+        return _three_term(([1], [], [1]),
+                           lambda n, u3, u2, u1: _step(u2, u3, 1 - n % 2, add, cap))
+    init = ([1], [1], [1] if name == "a" else [1, -1][: cap + 1])
+    return _three_term(init, lambda n, u3, u2, u1: _step(u1, u3, 1, sub, cap))
 
 
-def _terms(wanted: set[tuple[str, int]], order: int) -> dict[tuple[str, int], ZSeries]:
+def _terms(wanted: set[tuple[str, int]], cap: int) -> dict[tuple[str, int], list[int]]:
     """The sequence terms in `wanted`, as (name, index) pairs with index >= 0,
     from one streaming pass per sequence that keeps only the wanted terms."""
     out = {}
     for name in {name for name, _ in wanted}:
         indices = {j for nm, j in wanted if nm == name}
-        for j, term in zip(range(max(indices) + 1), _sequence(name, order)):
+        for j, term in zip(range(max(indices) + 1), _sequence(name, cap)):
             if j in indices:
                 out[name, j] = term
     return out
+
+
+def _cap(order: int, parity: int) -> int:
+    """The top power of x a series of this parity needs up to z^order; at
+    least 0, so the determinants keep their constant term."""
+    return max(order - parity, 0) // 2
+
+
+def _zseries(poly: list[int], parity: int, order: int) -> ZSeries:
+    """z^parity poly(z^2), truncated at z^order."""
+    cs = [0] * (order + 1)
+    slots = len(cs[parity::2])
+    cs[parity::2] = (poly + [0] * slots)[:slots]
+    return ZSeries(tuple(cs))
 
 
 def _numerator(direction: Direction, level: int, m: int) -> list[tuple[int, tuple]]:
@@ -130,8 +166,8 @@ def _numerator(direction: Direction, level: int, m: int) -> list[tuple[int, tupl
     LR: z^k d_{m-1-k}.  RL, column q = level + 1 replaced by e_1: d_{m-1} for
     q = 1, z (b_{m-2} + z b_{m-3}) for q = m, and otherwise
     z a_{m-q}(b_{q-2} + z b_{q-3}) + z^2 a_{m-q-1}(b_{q-3} + z b_{q-4}),
-    expanded with the sparse b factor first (a product costs its left
-    factor's nonzero terms times the order).
+    expanded with the b factor first (a product costs its left factor's
+    nonzero terms times the length of the right one).
     """
     if direction is Direction.LR:
         parts = [(level, (("d", m - 1 - level),))]
@@ -150,48 +186,82 @@ def _numerator(direction: Direction, level: int, m: int) -> list[tuple[int, tupl
     return [(p, fs) for p, fs in parts if all(j >= 0 for _, j in fs)]
 
 
-def _evaluate(numerator: list[tuple[int, tuple]], terms: dict, order: int) -> ZSeries:
-    """Sum a numerator from `_numerator` over the sequence terms in `terms`."""
-    total = ZSeries.zero(order)
+def _evaluate(numerator: list[tuple[int, tuple]], terms: dict, parity: int, cap: int) -> list[int]:
+    """Sum a numerator from `_numerator` over the sequence terms in `terms`,
+    as the polynomial in x that the numerator is z^parity times.
+
+    A term (p, factors) is z^e times a polynomial in x, with e = p plus
+    j mod 2 for each factor b_j; e has the parity of the level, so the term
+    lands x^((e - parity) / 2) up.
+    """
+    total = [0] * (cap + 1)
     for p, factors in numerator:
-        prod = terms[factors[0]]
-        for factor in factors[1:]:
-            prod = prod * terms[factor]
-        total = total + prod.shift(p)
+        e = p + sum(j % 2 for name, j in factors if name == "b")
+        left, *rest = [terms[f] for f in factors]
+        right = rest[0] if rest else [1]
+        for i, c in enumerate(left, (e - parity) // 2):
+            k = min(len(right), cap + 1 - i)
+            if k <= 0:
+                break
+            if c:
+                total[i:i + k] = map(add, total[i:i + k], [c * r for r in right[:k]])
     return total
+
+
+def _divide(num: list[int], den: list[int]) -> list[int]:
+    """num / den in x, to num's length; den's constant term must be 1, so
+    each quotient coefficient is num_k minus one dot product."""
+    if den[0] != 1:
+        raise ConsistencyError(f"divisor has constant term {den[0]}, not 1")
+    rev = den[:0:-1]  # den_deg, ..., den_1
+    deg = len(rev)
+    quot: list[int] = []
+    for k, c in enumerate(num):
+        t = min(k, deg)
+        quot.append(c - sum(map(mul, rev[deg - t:], quot[k - t:])))
+    return quot
 
 
 def _cramer(direction: Direction, level: int, barriers: tuple[int, ...], order: int) -> list[ZSeries]:
     """The Cramer quotients numerator / d_{h+1} of `level` at each barrier h,
-    with every sequence term they need taken from one pass per sequence."""
+    with every sequence term they need taken from one pass per sequence.
+    Each quotient is z^(level mod 2) times a series in x, divided in x."""
+    parity = level % 2
+    cap = _cap(order, parity)
     numerators = [_numerator(direction, level, h + 1) for h in barriers]
     wanted = {f for num in numerators for _, fs in num for f in fs}
-    terms = _terms(wanted | {("d", h + 1) for h in barriers}, order)
+    terms = _terms(wanted | {("d", h + 1) for h in barriers}, cap)
     return [
-        _evaluate(num, terms, order) / terms["d", h + 1]
+        _zseries(_divide(_evaluate(num, terms, parity, cap), terms["d", h + 1]), parity, order)
         for num, h in zip(numerators, barriers)
     ]
+
+
+def _term(name: str, n: int, order: int) -> ZSeries:
+    """One sequence term as a z-series: z^(n mod 2) beta_n for b."""
+    parity = n % 2 if name == "b" else 0
+    return _zseries(_terms({(name, n)}, _cap(order, parity))[name, n], parity, order)
 
 
 def seq_a(n: int, order: int) -> ZSeries:
     """Coefficient of X^n in 1/(1 - X + z^2 X^3); zero series for n < 0."""
     if n < 0:
         return ZSeries.zero(order)
-    return _terms({("a", n)}, order)["a", n]
+    return _term("a", n, order)
 
 
 def seq_b(n: int, order: int) -> ZSeries:
     """Coefficient of Y^n in 1/(1 - Y^2 - z Y^3); zero series for n < 0."""
     if n < 0:
         return ZSeries.zero(order)
-    return _terms({("b", n)}, order)["b", n]
+    return _term("b", n, order)
 
 
 def det_d(m: int, order: int) -> ZSeries:
     """Determinant of the m x m system matrix: d_m = d_{m-1} - z^2 d_{m-3}."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return _terms({("d", m)}, order)["d", m]
+    return _term("d", m, order)
 
 
 def delta(m: int, q: int, order: int) -> ZSeries:
@@ -203,7 +273,10 @@ def delta(m: int, q: int, order: int) -> ZSeries:
     if not 1 <= q <= m:
         raise ValueError(f"need 1 <= q <= m, got q={q}, m={m}")
     numerator = _numerator(Direction.RL, q - 1, m)
-    return _evaluate(numerator, _terms({f for _, fs in numerator for f in fs}, order), order)
+    parity = (q - 1) % 2
+    cap = _cap(order, parity)
+    terms = _terms({f for _, fs in numerator for f in fs}, cap)
+    return _zseries(_evaluate(numerator, terms, parity, cap), parity, order)
 
 
 # ---------------------------------------------------------------------------

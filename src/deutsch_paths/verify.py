@@ -117,11 +117,13 @@ def suite_cramer() -> SuiteReport:
     ok = True
     for level in (0, 1, 2):
         small = 8
-        ref = stabilized(Direction.LR, level, small)
+        ref = stabilized(Direction.LR, level, small).coeffs
+        prev = (0,) * (small + 1)
         for h in range(level, small + level + 3):
-            bounded = bounded_f(level, h, small)
-            if any(b > r for b, r in zip(bounded.coeffs, ref.coeffs)):
+            cur = bounded_f(level, h, small).coeffs
+            if any(p > c or c > r for p, c, r in zip(prev, cur, ref)):
                 ok = False
+            prev = cur
     rep.add("bounded coefficients grow monotonically to the limit", ok)
     return rep
 

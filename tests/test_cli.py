@@ -218,6 +218,17 @@ class TestSuiteRegistry:
         check = verify.suite_cramer().checks[0]
         assert (check.passed, check.detail) == (False, "rl h=3 level=0")
 
+    def test_cramer_monotone_check_compares_barriers(self, monkeypatch):
+        # zero at every odd barrier stays below the limit but does not grow
+        real = verify.bounded_f
+
+        def broken(level, h, order):
+            return ZSeries.zero(order) if h % 2 else real(level, h, order)
+
+        monkeypatch.setattr(verify, "bounded_f", broken)
+        checks = {c.name: c.passed for c in verify.suite_cramer().checks}
+        assert checks["bounded coefficients grow monotonically to the limit"] is False
+
     def test_unknown_suite_fails_before_any_suite(self, monkeypatch):
         ran = []
         monkeypatch.setattr(verify, "suite_paper_lists", lambda: ran.append(1))

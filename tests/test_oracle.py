@@ -116,7 +116,7 @@ class TestPruningAgainstRawSteps:
             ref = list(_raw_paths(direction, n, height, top))
             rep = enumerate_paths(direction, n, height=height)
             assert rep.by_level == Counter(p[-1] for p in ref), (n, height)
-            assert rep.closed_count == sum(p[-1] == 0 for p in ref)
+            assert rep.by_level.get(0, 0) == sum(p[-1] == 0 for p in ref)
             assert rep.total_area == sum(sum(p) for p in ref if p[-1] == 0)
 
     @pytest.mark.parametrize("direction", list(Direction))

@@ -1,8 +1,11 @@
 """Strip enumeration, determinant recurrences, and the Cramer route."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deutsch_paths import strip
 from deutsch_paths.closed import count_rl_closed
 from deutsch_paths.series import ZSeries
 from deutsch_paths.strip import (
@@ -55,6 +58,21 @@ def reference_dp_rows(direction, n_max, height=None):
         reach = n if direction is Direction.LR else report
         rows.append(tuple(cur[: min(reach, report) + 1]))
     return tuple(rows)
+
+
+def reference_stream(name, order):
+    """The dense z-series streams of a_n, b_n and d_m, as the Cramer route
+    ran them before it worked in x = z^2."""
+    one, zero = ZSeries.one(order), ZSeries.zero(order)
+    if name == "b":
+        init, step = (one, zero, one), lambda u3, u2, u1: u2 + u3.shift(1)
+    else:
+        init = (one, one, one if name == "a" else one - one.shift(2))
+        step = lambda u3, u2, u1: u1 - u3.shift(2)
+    u3, u2, u1 = init
+    while True:
+        yield u3
+        u3, u2, u1 = u2, u1, step(u3, u2, u1)
 
 
 class TestDpCounts:
@@ -120,6 +138,17 @@ class TestSequences:
 
     def test_d_equals_shifted_a(self):
         assert all(det_d(m, 12) == seq_a(m + 1, 12) for m in range(31))
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 7, 20, 61])
+    def test_match_dense_reference(self, order):
+        for name, term in (("a", seq_a), ("b", seq_b), ("d", det_d)):
+            for n, ref in zip(range(61), reference_stream(name, order)):
+                assert term(n, order) == ref, (name, n)
+
+    def test_b_keeps_one_parity(self):
+        # b_n = z^(n mod 2) beta_n(z^2), the fact the x-streams rely on
+        for n, b in zip(range(61), reference_stream("b", 61)):
+            assert all(c == 0 for k, c in enumerate(b.coeffs) if (k - n) % 2), n
 
     @given(st.integers(3, 25), st.integers(4, 16))
     def test_a_recurrence(self, n, order):
@@ -223,18 +252,26 @@ class TestStabilized:
     @pytest.mark.parametrize("direction, per_pass", [(Direction.LR, 1), (Direction.RL, 2)])
     @pytest.mark.parametrize("level", [0, 1, 5])
     def test_one_recurrence_pass(self, monkeypatch, direction, per_pass, level):
-        # subtractions only happen in the d and a recurrences, one per term
-        calls = []
-        sub = ZSeries.__sub__
+        # per_pass sequences (d, and a for RL) run to about h; b only runs
+        # to the level.  Every recurrence step, of every sequence, is one
+        # _step call, and each sequence is streamed once.
+        calls, streams = [], Counter()
+        step, sequence = strip._step, strip._sequence
 
-        def counting_sub(self, other):
+        def counting_step(*args):
             calls.append(1)
-            return sub(self, other)
+            return step(*args)
 
-        monkeypatch.setattr(ZSeries, "__sub__", counting_sub)
+        def counting_sequence(name, cap):
+            streams[name] += 1
+            return sequence(name, cap)
+
+        monkeypatch.setattr(strip, "_step", counting_step)
+        monkeypatch.setattr(strip, "_sequence", counting_sequence)
         order = 100
         h = order + level + 2
         stabilized(direction, level, order)
+        assert set(streams.values()) == {1}
         assert 0 < len(calls) <= per_pass * (h + 3)
 
     def test_monotone_in_barrier(self):
