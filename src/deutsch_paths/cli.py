@@ -1,8 +1,10 @@
 """Command-line frontend.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error (bad
-arguments or environment, rejected before any work starts), 3 internal
-error (a bug; the traceback goes to stderr).  The `verify --suite` names and
+arguments or environment, rejected before any work starts) or output that
+cannot be written (a closed pipe, a full disk; one `error:` line), 3
+internal error (a bug; the traceback goes to stderr).  Each command renders
+its whole output before any of it is written.  The `verify --suite` names and
 their order come from `verify.SUITES`.  All integer output is exact decimal;
 json documents are rendered canonically (sorted keys, fixed separators) so
 that parse + re-render is byte-identical.
@@ -11,6 +13,7 @@ that parse + re-render is byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -28,15 +31,11 @@ def _render_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _emit_rows(rows: list[list[int]], fmt: str, doc: dict) -> None:
+def _render_rows(rows: list[list[int]], fmt: str, doc: dict) -> list[str]:
     if fmt == "json":
-        print(_render_json(doc))
-    elif fmt == "csv":
-        for row in rows:
-            print(",".join(str(v) for v in row))
-    else:
-        for row in rows:
-            print(" ".join(str(v) for v in row))
+        return [_render_json(doc)]
+    sep = "," if fmt == "csv" else " "
+    return [sep.join(str(v) for v in row) for row in rows]
 
 
 def _nonneg(value: str) -> int:
@@ -59,11 +58,11 @@ def _budget() -> int:
     return budget
 
 
-def cmd_triangle(args: argparse.Namespace) -> int:
+def cmd_triangle(args: argparse.Namespace) -> tuple[int, list[str]]:
     direction = Direction(args.direction)
     table = dp_counts(direction, args.n, height=args.height)
     rows = [list(row) for row in table.rows]
-    _emit_rows(
+    return 0, _render_rows(
         rows,
         args.format,
         {
@@ -73,10 +72,9 @@ def cmd_triangle(args: argparse.Namespace) -> int:
             "rows": rows,
         },
     )
-    return 0
 
 
-def cmd_series(args: argparse.Namespace) -> int:
+def cmd_series(args: argparse.Namespace) -> tuple[int, list[str]]:
     direction = Direction(args.direction)
     if args.height is not None:
         if args.level > args.height:
@@ -86,7 +84,7 @@ def cmd_series(args: argparse.Namespace) -> int:
     else:
         series = stabilized(direction, args.level, args.order)
     coeffs = list(series.coeffs)
-    _emit_rows(
+    return 0, _render_rows(
         [coeffs],
         args.format,
         {
@@ -97,25 +95,24 @@ def cmd_series(args: argparse.Namespace) -> int:
             "coeffs": coeffs,
         },
     )
-    return 0
 
 
-def cmd_area(args: argparse.Namespace) -> int:
+def cmd_area(args: argparse.Namespace) -> tuple[int, list[str]]:
     ns = list(range(args.nmax + 1))
     by_sum = [closed.area_coeff(n) for n in ns]
     gf = closed.area_gf()
     by_gf = [coeff_x(gf, n) for n in ns]
     if by_sum != by_gf:
         print(f"area mismatch: closed sum {by_sum} vs GF extraction {by_gf}", file=sys.stderr)
-        return 1
-    _emit_rows([by_sum], args.format, {"n": ns, "area": by_sum})
-    return 0
+        return 1, []
+    return 0, _render_rows([by_sum], args.format, {"n": ns, "area": by_sum})
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, list[str]]:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     reports = verify.run_suites(names, nmax=args.nmax, budget=_budget())
     all_passed = all(r.passed for r in reports)
+    lines: list[str] = []
     if args.format == "json":
         doc = {
             "passed": all_passed,
@@ -132,7 +129,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 for r in reports
             ],
         }
-        print(_render_json(doc))
+        lines.append(_render_json(doc))
     else:
         sep = "," if args.format == "csv" else ": "
         for r in reports:
@@ -141,12 +138,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 line = f"{status}{sep}{r.suite}{sep}{c.name}"
                 if c.detail and not c.passed:
                     line += f"{sep}{c.detail}"
-                print(line)
+                lines.append(line)
             if r.notes:
-                print(f"# {r.suite}: documented deviations")
-                for note in r.notes:
-                    print(f"#   {note}")
-    return 0 if all_passed else 1
+                lines.append(f"# {r.suite}: documented deviations")
+                lines.extend(f"#   {note}" for note in r.notes)
+    return (0 if all_passed else 1), lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -196,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, lines = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -204,6 +200,20 @@ def main(argv: list[str] | None = None) -> int:
         print("internal error:", file=sys.stderr)
         traceback.print_exc()
         return 3
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        # stdout still holds what it could not write: point its descriptor at
+        # the null device, so the flush at interpreter exit does not fail again
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -81,28 +81,20 @@ class GClosedForm:
 def g_closed(i: int) -> GClosedForm:
     """Unbounded RL limit at level i as a finite sum of rational pieces.
 
-    For i >= 1:
-        t   * sum_{1 <= k <= i/2}     C(i-1-k, k-1) z^(i-2k) (1-t)^(3k-2i-1)
-            + sum_{0 <= k <= (i-1)/2} C(i-1-k, k)   z^(i-2k) (1-t)^(3k-2i-1)
-    and g_0 = f_0 (reversal of closed paths).
+    For i >= 1, one piece per k in 0..i/2:
+        (C(i-1-k, k) + C(i-1-k, k-1) t) z^(i-2k) (1-t)^(3k-2i-1),
+    dropping a piece whose numerator is zero; and g_0 = f_0 (reversal of
+    closed paths).
     """
     if i < 0:
         raise ValueError("level must be nonnegative")
     if i == 0:
         return GClosedForm(((0, f_closed(0).drop_zshift()),))
     pieces: list[tuple[int, TRational]] = []
-    for k in range(1, i // 2 + 1):
-        c = binom(i - 1 - k, k - 1)
-        if c:
-            pieces.append(
-                (i - 2 * k, TRational(IntPoly((0, c)), pow1t=2 * i + 1 - 3 * k))
-            )
-    for k in range((i - 1) // 2 + 1):
-        c = binom(i - 1 - k, k)
-        if c:
-            pieces.append(
-                (i - 2 * k, TRational(IntPoly((c,)), pow1t=2 * i + 1 - 3 * k))
-            )
+    for k in range(i // 2 + 1):
+        numer = IntPoly((binom(i - 1 - k, k), binom(i - 1 - k, k - 1)))
+        if not numer.is_zero():
+            pieces.append((i - 2 * k, TRational(numer, pow1t=2 * i + 1 - 3 * k)))
     return GClosedForm(tuple(pieces))
 
 

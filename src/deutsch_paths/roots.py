@@ -15,7 +15,7 @@ from .series import zseries_of
 from .strip import Direction, seq_a, seq_b, stabilized
 
 DISC_RADIUS_SQ = 4.0 / 27.0  # singularity of t(x) sits at t = 1/3
-TOL = 1e-10  # bound on every residual of the certification
+TOL = 1e-10  # residual bound of the verify_* checks (g adds its series tail)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterable
+from operator import mul
+from typing import Iterable, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +85,19 @@ class IntPoly:
         return IntPoly(tuple(q)), IntPoly(tuple(rem))
 
 
-ONE_MINUS_3T = IntPoly((1, -3))
+def divide(num: Sequence[int], den: Sequence[int]) -> list[int]:
+    """num / den as a power series, to num's length, for den_0 = c0 = +-1:
+    q_k = c0 (num_k - sum_{j>=1} den_j q_{k-j}), one dot product each."""
+    c0 = den[0]
+    if c0 not in (1, -1):
+        raise ValueError(f"series with constant term {c0} is not invertible over Z")
+    rev = den[:0:-1]  # den_deg, ..., den_1
+    deg = len(rev)
+    quot: list[int] = []
+    for k, c in enumerate(num):
+        t = min(k, deg)
+        quot.append(c0 * (c - sum(map(mul, rev[deg - t:], quot[k - t:]))))
+    return quot
 
 
 # ---------------------------------------------------------------------------
@@ -162,24 +175,11 @@ class ZSeries:
     def __truediv__(self, other: "ZSeries") -> "ZSeries":
         """Exact quotient; the divisor needs constant coefficient +-1.
 
-        Solves q * other = self term by term, reading only the divisor's
-        nonzero terms: O(order x nonzero terms of other), so a sparse divisor
-        divides cheaply.
+        Solves q * other = self term by term with `divide`: one dot product
+        per coefficient, O(order^2) in all.
         """
         self._check_order(other)
-        c0 = other.coeffs[0]
-        if c0 not in (1, -1):
-            raise ValueError(f"series with constant term {c0} is not invertible over Z")
-        terms = [(j, b) for j, b in enumerate(other.coeffs) if b and j]
-        quot = list(self.coeffs)
-        for k in range(self.order + 1):
-            acc = quot[k]
-            for j, b in terms:
-                if j > k:
-                    break
-                acc -= b * quot[k - j]
-            quot[k] = c0 * acc  # 1/c0 == c0 for a unit
-        return ZSeries(tuple(quot))
+        return ZSeries(tuple(divide(self.coeffs, other.coeffs)))
 
     def inverse(self) -> "ZSeries":
         """Multiplicative inverse; requires constant coefficient +-1."""
@@ -230,22 +230,21 @@ def coeff_x(f: TRational, n: int) -> int:
     if n < 0:
         return 0
     # numerator times (1-3t)^(1-b), truncated at t^n
-    num = list(f.numer.coeffs[: n + 1])
-    if f.pow13t == 0:
-        num = list((f.numer * ONE_MINUS_3T).coeffs[: n + 1])
-    elif f.pow13t >= 2:
-        c = f.pow13t - 1
-        geo = [comb(c - 1 + j, j) * 3**j for j in range(n + 1)]
-        conv = [0] * (n + 1)
-        for i, a in enumerate(num):
-            if a:
-                for j in range(n + 1 - i):
-                    conv[i + j] += a * geo[j]
-        num = conv
+    b = f.pow13t
+    if b == 0:
+        factor: Sequence[int] = (1, -3)
+    elif b == 1:
+        factor = (1,)
+    else:
+        factor = [comb(b - 2 + j, j) * 3**j for j in range(n + 1)]
+    numer = f.numer.coeffs
+    num = [0] * min(n + 1, len(numer) + len(factor) - 1)
+    for i, a in enumerate(numer[: len(num)]):
+        if a:
+            for j, c in enumerate(factor[: len(num) - i]):
+                num[i + j] += a * c
     c1 = 2 * n + 1 + f.pow1t
-    return sum(
-        num[j] * comb(c1 - 1 + (n - j), n - j) for j in range(min(len(num), n + 1))
-    )
+    return sum(c * comb(c1 - 1 + (n - j), n - j) for j, c in enumerate(num))
 
 
 def zseries_of(f: TRational, order: int) -> ZSeries:

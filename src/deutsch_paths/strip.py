@@ -10,6 +10,8 @@ The Cramer route computes in x = z^2: the determinants d_m and the terms
 a_n are polynomials in x, and b_n is z^(n mod 2) times one, so every
 quotient is z^(level mod 2) times a series in x.  It streams, multiplies and
 divides integer coefficient lists in x and builds one ZSeries at the end.
+The RL numerator is two products: b_n = b_{n-2} + z b_{n-3} folds the
+cofactor expansion's four.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import count
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Iterator, Optional
 
 from .errors import ConsistencyError
-from .series import IntPoly, ZSeries
+from .series import IntPoly, ZSeries, divide
 
 
 class Direction(Enum):
@@ -38,8 +40,12 @@ class CountTable:
     rows: tuple[tuple[int, ...], ...]
 
     def count(self, n: int, k: int) -> int:
+        """Paths of length n ending at level k; 0 above a row's end, except
+        that an unbounded RL table never computed levels above n_max."""
         if not 0 <= n < len(self.rows):
             raise IndexError(f"row {n} out of range")
+        if self.direction is Direction.RL and self.height is None and k >= len(self.rows):
+            raise IndexError(f"level {k} beyond the computed levels 0..{len(self.rows) - 1}")
         row = self.rows[n]
         return row[k] if 0 <= k < len(row) else 0
 
@@ -159,67 +165,42 @@ def _zseries(poly: list[int], parity: int, order: int) -> ZSeries:
 
 
 def _numerator(direction: Direction, level: int, m: int) -> list[tuple[int, tuple]]:
-    """Cramer's numerator for `level` in the m x m system, as a sum of terms
-    (p, factors), each z^p times the product of the sequence terms in
-    factors ((name, index) pairs); terms with a negative index are zero.
+    """Cramer's numerator for `level` in the m x m system over z^(level
+    mod 2), as a sum of terms (s, factors): x^s times the product of the
+    sequence terms in factors ((name, index) pairs, b standing for beta);
+    terms with a negative index are zero.
 
-    LR: z^k d_{m-1-k}.  RL, column q = level + 1 replaced by e_1: d_{m-1} for
-    q = 1, z (b_{m-2} + z b_{m-3}) for q = m, and otherwise
-    z a_{m-q}(b_{q-2} + z b_{q-3}) + z^2 a_{m-q-1}(b_{q-3} + z b_{q-4}),
-    expanded with the b factor first (a product costs its left factor's
-    nonzero terms times the length of the right one).
+    LR: z^k d_{m-1-k}.  RL, column q = level + 1 replaced by e_1: d_{m-1}
+    for q = 1, else z b_q a_{m-q} + z^2 b_{q-1} a_{m-q-1} (see `delta`),
+    which is x^(q mod 2) beta_q a_{m-q} + x beta_{q-1} a_{m-q-1} over
+    z^(level mod 2); for q = m, a_0 = 1 and a_{-1} = 0.  beta comes first
+    in each product, which costs its left factor's nonzero terms times
+    the length of the right one.
     """
     if direction is Direction.LR:
-        parts = [(level, (("d", m - 1 - level),))]
+        parts = [(level // 2, (("d", m - 1 - level),))]
     elif level == 0:
         parts = [(0, (("d", m - 1),))]
-    elif level == m - 1:
-        parts = [(1, (("b", m - 2),)), (2, (("b", m - 3),))]
     else:
         q = level + 1
-        parts = [
-            (1, (("b", q - 2), ("a", m - q))),
-            (2, (("b", q - 3), ("a", m - q))),
-            (2, (("b", q - 3), ("a", m - q - 1))),
-            (3, (("b", q - 4), ("a", m - q - 1))),
-        ]
-    return [(p, fs) for p, fs in parts if all(j >= 0 for _, j in fs)]
+        parts = [(q % 2, (("b", q), ("a", m - q))), (1, (("b", q - 1), ("a", m - q - 1)))]
+    return [(s, fs) for s, fs in parts if all(j >= 0 for _, j in fs)]
 
 
-def _evaluate(numerator: list[tuple[int, tuple]], terms: dict, parity: int, cap: int) -> list[int]:
+def _evaluate(numerator: list[tuple[int, tuple]], terms: dict, cap: int) -> list[int]:
     """Sum a numerator from `_numerator` over the sequence terms in `terms`,
-    as the polynomial in x that the numerator is z^parity times.
-
-    A term (p, factors) is z^e times a polynomial in x, with e = p plus
-    j mod 2 for each factor b_j; e has the parity of the level, so the term
-    lands x^((e - parity) / 2) up.
-    """
+    as a polynomial in x truncated at x^cap."""
     total = [0] * (cap + 1)
-    for p, factors in numerator:
-        e = p + sum(j % 2 for name, j in factors if name == "b")
+    for s, factors in numerator:
         left, *rest = [terms[f] for f in factors]
         right = rest[0] if rest else [1]
-        for i, c in enumerate(left, (e - parity) // 2):
+        for i, c in enumerate(left, s):
             k = min(len(right), cap + 1 - i)
             if k <= 0:
                 break
             if c:
                 total[i:i + k] = map(add, total[i:i + k], [c * r for r in right[:k]])
     return total
-
-
-def _divide(num: list[int], den: list[int]) -> list[int]:
-    """num / den in x, to num's length; den's constant term must be 1, so
-    each quotient coefficient is num_k minus one dot product."""
-    if den[0] != 1:
-        raise ConsistencyError(f"divisor has constant term {den[0]}, not 1")
-    rev = den[:0:-1]  # den_deg, ..., den_1
-    deg = len(rev)
-    quot: list[int] = []
-    for k, c in enumerate(num):
-        t = min(k, deg)
-        quot.append(c - sum(map(mul, rev[deg - t:], quot[k - t:])))
-    return quot
 
 
 def _cramer(direction: Direction, level: int, barriers: tuple[int, ...], order: int) -> list[ZSeries]:
@@ -231,10 +212,13 @@ def _cramer(direction: Direction, level: int, barriers: tuple[int, ...], order: 
     numerators = [_numerator(direction, level, h + 1) for h in barriers]
     wanted = {f for num in numerators for _, fs in num for f in fs}
     terms = _terms(wanted | {("d", h + 1) for h in barriers}, cap)
-    return [
-        _zseries(_divide(_evaluate(num, terms, parity, cap), terms["d", h + 1]), parity, order)
-        for num, h in zip(numerators, barriers)
-    ]
+    quotients = []
+    for num, h in zip(numerators, barriers):
+        den = terms["d", h + 1]
+        if den[0] != 1:
+            raise ConsistencyError(f"d_{h + 1} has constant term {den[0]}, not 1")
+        quotients.append(_zseries(divide(_evaluate(num, terms, cap), den), parity, order))
+    return quotients
 
 
 def _term(name: str, n: int, order: int) -> ZSeries:
@@ -267,8 +251,11 @@ def det_d(m: int, order: int) -> ZSeries:
 def delta(m: int, q: int, order: int) -> ZSeries:
     """Cramer numerator for the RL system: column q replaced by e_1.
 
-    The q = m case is z*(b_{m-2} + z b_{m-3}); the product form for
-    2 <= q < m is z a_{m-q}(b_{q-2} + z b_{q-3}) + z^2 a_{m-q-1}(b_{q-3} + z b_{q-4}).
+    d_{m-1} for q = 1, and z b_q a_{m-q} + z^2 b_{q-1} a_{m-q-1} for
+    2 <= q <= m (a_{-1} = 0).  Cofactor expansion gives
+    z a_{m-q}(b_{q-2} + z b_{q-3}) + z^2 a_{m-q-1}(b_{q-3} + z b_{q-4}), and
+    each bracket is one b term: b_n is the coefficient of Y^n in
+    1/(1 - Y^2 - z Y^3), so b_n = b_{n-2} + z b_{n-3} for n >= 1.
     """
     if not 1 <= q <= m:
         raise ValueError(f"need 1 <= q <= m, got q={q}, m={m}")
@@ -276,7 +263,7 @@ def delta(m: int, q: int, order: int) -> ZSeries:
     parity = (q - 1) % 2
     cap = _cap(order, parity)
     terms = _terms({f for _, fs in numerator for f in fs}, cap)
-    return _zseries(_evaluate(numerator, terms, parity, cap), parity, order)
+    return _zseries(_evaluate(numerator, terms, cap), parity, order)
 
 
 # ---------------------------------------------------------------------------

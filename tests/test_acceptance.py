@@ -1,8 +1,9 @@
 """Acceptance gate: every exit criterion, each printing one pass/fail line.
 
 All checks are exact-integer identities except the radical certification,
-which carries the stated float tolerances (1e-10 identities, 1e-9 for the
-power-form sequences).
+which carries the stated float tolerances: 1e-10 (`roots.TOL`) on every
+residual of the factorization and a_n/b_n checks, and 1e-12 on the t(z)
+inversion.
 """
 
 import math

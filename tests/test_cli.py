@@ -5,6 +5,9 @@ import importlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -174,6 +177,34 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")
         assert "internal error:" in captured.err and "Traceback" in captured.err
+
+    @pytest.mark.parametrize("exc", [BrokenPipeError(32, "Broken pipe"),
+                                     OSError(28, "No space left on device")])
+    def test_unwritable_stdout_is_exit2(self, exc):
+        class Unwritable(io.StringIO):
+            def write(self, text):
+                raise exc
+
+        err = io.StringIO()
+        with redirect_stdout(Unwritable()), redirect_stderr(err):
+            code = main(["triangle", "--n", "4"])
+        assert code == 2
+        assert err.getvalue() == f"error: cannot write output: {exc}\n"
+
+    def test_closed_pipe_exits_quietly(self):
+        # a reader that goes away early, as `| head -c 100` does; the
+        # interpreter's exit-time flush must not report the lost output
+        src = Path(importlib.util.find_spec("deutsch_paths").origin).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        with subprocess.Popen(
+            [sys.executable, "-m", "deutsch_paths.cli", "triangle", "--n", "400"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert code == 2
+        assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
 
 
 class TestSuiteRegistry:

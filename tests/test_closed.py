@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from deutsch_paths.closed import (
+    GClosedForm,
     area_coeff,
     area_convolution,
     area_gf,
@@ -14,8 +15,25 @@ from deutsch_paths.closed import (
     f_closed,
     g_closed,
 )
-from deutsch_paths.series import coeff_x, zseries_of
+from deutsch_paths.series import IntPoly, TRational, coeff_x, zseries_of
 from deutsch_paths.strip import Direction, dp_counts, stabilized
+
+
+def reference_g_pieces(i):
+    """g_i as two loops, the t-numerator pieces and then the constant ones,
+    so that one z-shift can carry two pieces."""
+    if i == 0:
+        return GClosedForm(((0, f_closed(0).drop_zshift()),))
+    pieces = []
+    for k in range(1, i // 2 + 1):
+        c = binom(i - 1 - k, k - 1)
+        if c:
+            pieces.append((i - 2 * k, TRational(IntPoly((0, c)), pow1t=2 * i + 1 - 3 * k)))
+    for k in range((i - 1) // 2 + 1):
+        c = binom(i - 1 - k, k)
+        if c:
+            pieces.append((i - 2 * k, TRational(IntPoly((c,)), pow1t=2 * i + 1 - 3 * k)))
+    return GClosedForm(tuple(pieces))
 
 
 class TestBinom:
@@ -88,6 +106,16 @@ class TestGClosed:
 
     def test_g3_z11(self):
         assert g_closed(3).coefficient(11) == 4896
+
+    def test_matches_two_loop_reference(self):
+        for i in range(31):
+            g, ref = g_closed(i), reference_g_pieces(i)
+            assert all(g.coefficient(n) == ref.coefficient(n) for n in range(81)), i
+
+    def test_one_piece_per_zshift(self):
+        for i in range(40):
+            shifts = [s for s, _ in g_closed(i).summands]
+            assert len(shifts) == len(set(shifts)), (i, shifts)
 
     def test_g0_equals_f0(self):
         assert g_closed(0).to_series(20) == zseries_of(f_closed(0), 20)

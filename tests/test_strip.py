@@ -75,6 +75,28 @@ def reference_stream(name, order):
         u3, u2, u1 = u2, u1, step(u3, u2, u1)
 
 
+def reference_delta(m, q, order):
+    """The RL Cramer numerator as the cofactor expansion gives it, four
+    products of b and a terms (and z(b_{m-2} + z b_{m-3}) for q = m),
+    before b_n = b_{n-2} + z b_{n-3} folds each pair into one b term."""
+    def a(n):
+        return seq_a(n, order)
+
+    def b(n):
+        return seq_b(n, order)
+
+    if q == 1:
+        return det_d(m - 1, order)
+    if q == m:
+        return (b(m - 2) + b(m - 3).shift(1)).shift(1)
+    return (
+        (b(q - 2) * a(m - q)).shift(1)
+        + (b(q - 3) * a(m - q)).shift(2)
+        + (b(q - 3) * a(m - q - 1)).shift(2)
+        + (b(q - 4) * a(m - q - 1)).shift(3)
+    )
+
+
 class TestDpCounts:
     def test_lr_unbounded_row4(self):
         t = dp_counts(Direction.LR, 4)
@@ -99,6 +121,21 @@ class TestDpCounts:
             for k in range(n + 1)
             if (n - k) % 2 == 1
         )
+
+    def test_rl_unbounded_levels_beyond_table_rejected(self):
+        # the table holds levels 0..n_max; level 4 at length 2 has 3 paths
+        # (+1+3, +3+1, +5-1), so a silent 0 would be wrong
+        table = dp_counts(Direction.RL, 2)
+        with pytest.raises(IndexError, match="level 4"):
+            table.count(2, 4)
+        assert count_rl_closed(2, 4) == 3
+        assert dp_counts(Direction.RL, 4).count(2, 4) == 3
+
+    def test_true_zero_cells_stay_zero(self):
+        # LR cells above n and strip cells above h are truly empty
+        assert dp_counts(Direction.LR, 2).count(2, 4) == 0
+        assert dp_counts(Direction.LR, 4).count(2, 4) == 0
+        assert dp_counts(Direction.RL, 2, height=2).count(2, 4) == 0
 
     def test_row_zero(self):
         assert dp_counts(Direction.RL, 5).rows[0] == (1,)
@@ -185,6 +222,13 @@ class TestDeterminants:
 
     def test_direct_matches_recurrence(self):
         assert all(det_d(m, 16) == det_direct(m, 16) for m in range(13))
+
+    @pytest.mark.parametrize("order", [0, 1, 7, 30])
+    def test_delta_matches_four_product_reference(self, order):
+        # det_direct only reaches m <= 12; the reference goes to m = 24
+        for m in range(1, 25):
+            for q in range(1, m + 1):
+                assert delta(m, q, order) == reference_delta(m, q, order), (m, q)
 
     def test_direct_matches_delta(self):
         assert all(
