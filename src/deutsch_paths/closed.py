@@ -9,10 +9,11 @@ where g_1 = z/(1-t)^3 is forced by the mu-closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import comb
 
 from .errors import ConsistencyError
-from .series import IntPoly, TRational, ZSeries, coeff_x, zseries_of
+from .series import IntPoly, TRational, ZSeries, coeff_x, poly_mul
 
 
 def binom(n: int, k: int) -> int:
@@ -132,14 +133,29 @@ def area_coeff(n: int) -> int:
 
 
 def area_convolution(order: int) -> ZSeries:
-    """The area series as sum_i i * f_i(z) * g_i(z), truncated at order."""
+    """The area series as sum_i i * f_i(z) * g_i(z), truncated at order.
+
+    Each product of f_i = z^i/(1-t)^(i+1) with a piece of g_i is one rational
+    piece z^p numer(t)/((1-t)^a (1-3t)^b), so the pieces with equal (p, a, b)
+    add their numerators, and the pieces with p <= order (O(order) of them
+    after merging) are expanded with one coeff_x per coefficient.  The route
+    starts from f_closed and g_closed, never from area_gf, which it checks.
+    """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    acc = ZSeries.zero(order)
+    merged: dict[tuple[int, int, int], list[int]] = {}
     for i in range(1, order + 1):
-        fi = zseries_of(f_closed(i), order)
-        if fi.is_zero():
-            continue
-        gi = g_closed(i).to_series(order)
-        acc = acc + (fi * gi).scale(i)
-    return acc
+        f = f_closed(i)
+        for zshift, piece in g_closed(i).summands:
+            p = f.zshift + zshift
+            if p > order:
+                continue
+            key = (p, f.pow1t + piece.pow1t, f.pow13t + piece.pow13t)
+            term = [i * c for c in poly_mul(f.numer.coeffs, piece.numer.coeffs)]
+            merged[key] = [x + y for x, y in zip_longest(merged.get(key, ()), term, fillvalue=0)]
+    cs = [0] * (order + 1)
+    for (p, a, b), numer in merged.items():
+        piece = TRational(IntPoly(tuple(numer)), pow1t=a, pow13t=b)
+        for n in range(p, order + 1, 2):
+            cs[n] += coeff_x(piece, (n - p) // 2)
+    return ZSeries(tuple(cs))

@@ -18,11 +18,12 @@ from typing import Iterable, Sequence
 # integer polynomials (dense tuples, index = exponent)
 # ---------------------------------------------------------------------------
 
-def _normalize(coeffs: Iterable[int]) -> tuple[int, ...]:
+def trim(coeffs: Iterable[int]) -> list[int]:
+    """The coefficients without trailing zeros (the zero polynomial is [])."""
     cs = list(coeffs)
     while cs and cs[-1] == 0:
         cs.pop()
-    return tuple(cs)
+    return cs
 
 
 @dataclass(frozen=True)
@@ -32,57 +33,50 @@ class IntPoly:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _normalize(self.coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
+        object.__setattr__(self, "coeffs", tuple(trim(self.coeffs)))
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __getitem__(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(tuple(self[k] - other[k] for k in range(n)))
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        if self.is_zero() or other.is_zero():
-            return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(tuple(out))
-
-    def scale(self, c: int) -> "IntPoly":
-        return IntPoly(tuple(c * a for a in self.coeffs))
-
     def divmod_by(self, divisor: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
-        """Polynomial long division over the rationals, kept in integers.
-
-        Only valid when every quotient step divides exactly (which holds
-        whenever divisor | self in Z[t], or lead(divisor) is a unit).
-        """
+        """Polynomial long division by `long_division`; (0, self) when a
+        quotient step does not divide in Z."""
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        dlead = divisor.coeffs[-1]
-        dd = divisor.degree
-        q = [0] * max(len(rem) - dd, 0)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            if rem[k] == 0:
-                continue
-            if rem[k] % dlead != 0:
-                return IntPoly(), self  # not divisible in Z[t]
-            c = rem[k] // dlead
-            q[k - dd] = c
-            for j, b in enumerate(divisor.coeffs):
-                rem[k - dd + j] -= c * b
-        return IntPoly(tuple(q)), IntPoly(tuple(rem))
+        quot, rem = long_division(self.coeffs, divisor.coeffs)
+        return IntPoly(tuple(quot)), IntPoly(tuple(rem))
+
+
+def poly_mul(u: Sequence[int], v: Sequence[int]) -> list[int]:
+    """The product of two nonzero integer polynomials (coefficient lists)."""
+    out = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        if a:
+            for j, b in enumerate(v, i):
+                out[j] += a * b
+    return out
+
+
+def long_division(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Top-down long division of integer polynomials (coefficient lists,
+    lowest power first; den's last coefficient nonzero): (q, r) with
+    num = q den + r and deg r < deg den.  When den's leading coefficient does
+    not divide a step's leading term, den does not divide num in Z[t], and
+    the result is ([], num)."""
+    rem = list(num)
+    dlead = den[-1]
+    dd = len(den) - 1
+    quot = [0] * max(len(rem) - dd, 0)
+    for k in range(len(rem) - 1, dd - 1, -1):
+        if rem[k] == 0:
+            continue
+        if rem[k] % dlead != 0:
+            return [], list(num)
+        c = rem[k] // dlead
+        quot[k - dd] = c
+        for j, b in enumerate(den, k - dd):
+            rem[j] -= c * b
+    return quot, rem
 
 
 def divide(num: Sequence[int], den: Sequence[int]) -> list[int]:
@@ -160,9 +154,6 @@ class ZSeries:
                     if b:
                         out[i + j] += a * b
         return ZSeries(tuple(out))
-
-    def scale(self, c: int) -> "ZSeries":
-        return ZSeries(tuple(c * a for a in self.coeffs))
 
     def shift(self, p: int) -> "ZSeries":
         """Multiply by z^p, truncating at the same order."""

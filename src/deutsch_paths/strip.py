@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count
+from itertools import count, zip_longest
 from operator import add, sub
 from typing import Iterator, Optional
 
 from .errors import ConsistencyError
-from .series import IntPoly, ZSeries, divide
+from .series import ZSeries, divide, long_division, poly_mul, trim
 
 
 class Direction(Enum):
@@ -270,65 +270,98 @@ def delta(m: int, q: int, order: int) -> ZSeries:
 # direct determinants over Z[z] (independent oracle)
 # ---------------------------------------------------------------------------
 
-def _system_matrix(direction: Direction, m: int) -> list[list[IntPoly]]:
-    """The m x m system matrix over Z[z].  LR has 1 on the diagonal, -z on
-    the subdiagonal and at every odd offset above the diagonal; RL is its
-    transpose."""
-    one = IntPoly((1,))
-    mz = IntPoly((0, -1))
-    zero = IntPoly()
+def _system_matrix(direction: Direction, m: int) -> list[list[tuple[int, ...]]]:
+    """The m x m system matrix over Z[z], as coefficient tuples.  LR has 1 on
+    the diagonal, -z on the subdiagonal and at every odd offset above the
+    diagonal; RL is its transpose."""
     mat = []
     for i in range(m):
         row = []
         for j in range(m):
             if i == j:
-                row.append(one)
+                row.append((1,))
             elif j == i - 1 or (j > i and (j - i) % 2 == 1):
-                row.append(mz)
+                row.append((0, -1))
             else:
-                row.append(zero)
+                row.append(())
         mat.append(row)
     if direction is Direction.RL:
         mat = [list(row) for row in zip(*mat)]
     return mat
 
 
+def _exact_quotient(num: list[int], den: list[int]) -> list[int]:
+    """num / den in Z[z] by long division; ConsistencyError unless the
+    remainder is zero."""
+    quot, rem = long_division(num, den)
+    if any(rem):
+        raise ConsistencyError("Bareiss division was not exact")
+    return quot
+
+
+def _bareiss(mat: list[list[list[int]]]) -> list[int]:
+    """Determinant of a square matrix over Z[z] (entries are coefficient
+    lists, lowest power first) by fraction-free (Bareiss) elimination.
+
+    Step r sets each entry below and right of the pivot to
+    (a p - b c) / prev, with p the pivot, b and c the entries in its column
+    and row, and prev the previous pivot; Sylvester's identity makes the
+    division exact, and `_exact_quotient` checks that it is.  An entry with
+    a = 0 and b c = 0 stays zero with no arithmetic.  A zero pivot swaps in
+    the first row below with a nonzero entry in its column, flipping the
+    sign; with no such row the determinant is zero.  The empty matrix has
+    determinant 1.
+    """
+    m = len(mat)
+    if m == 0:
+        return [1]
+    mat = [[trim(e) for e in row] for row in mat]
+    sign = 1
+    prev = [1]
+    for r in range(m - 1):
+        if not mat[r][r]:
+            swap = next((i for i in range(r + 1, m) if mat[i][r]), None)
+            if swap is None:
+                return []
+            mat[r], mat[swap] = mat[swap], mat[r]
+            sign = -sign
+        pivot, pivot_row = mat[r][r], mat[r]
+        for row in mat[r + 1:]:
+            b = row[r]
+            for j in range(r + 1, m):
+                a, c = row[j], pivot_row[j]
+                if not a and not (b and c):
+                    continue
+                num = poly_mul(a, pivot) if a else []
+                if b and c:
+                    num = [x - y for x, y in zip_longest(num, poly_mul(b, c), fillvalue=0)]
+                num = trim(num)
+                row[j] = _exact_quotient(num, prev) if num else []
+            row[r] = []
+        prev = pivot
+    return [sign * c for c in mat[-1][-1]]
+
+
 def det_direct(m: int, order: int, q: Optional[int] = None) -> ZSeries:
-    """Determinant by fraction-free (Bareiss) elimination over Z[z].
+    """Determinant by fraction-free (Bareiss) elimination over Z[z], on
+    integer coefficient lists (`_bareiss`), truncated at z^order.
 
     With q=None this is the LR matrix (checks det_d); with 1 <= q <= m it is
     the transposed (RL) matrix with column q replaced by e_1 (checks delta).
+    A direct elimination, independent of the recurrences it checks: O(m^3)
+    entry updates, each a product and an exact division of polynomials of
+    degree O(m).
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if m == 0:
-        return ZSeries.one(order)
     if q is not None and not 1 <= q <= m:
         raise ValueError(f"need 1 <= q <= m, got q={q}")
     mat = _system_matrix(Direction.LR if q is None else Direction.RL, m)
     if q is not None:
         for i in range(m):
-            mat[i][q - 1] = IntPoly((1,)) if i == 0 else IntPoly()
-    sign = 1
-    prev = IntPoly((1,))
-    for r in range(m - 1):
-        if mat[r][r].is_zero():
-            swap = next((i for i in range(r + 1, m) if not mat[i][r].is_zero()), None)
-            if swap is None:
-                return ZSeries.zero(order)
-            mat[r], mat[swap] = mat[swap], mat[r]
-            sign = -sign
-        for i in range(r + 1, m):
-            for j in range(r + 1, m):
-                num = mat[i][j] * mat[r][r] - mat[i][r] * mat[r][j]
-                quot, rem = num.divmod_by(prev)
-                if not rem.is_zero():
-                    raise ConsistencyError("Bareiss division was not exact")
-                mat[i][j] = quot
-            mat[i][r] = IntPoly()
-        prev = mat[r][r]
-    det = mat[m - 1][m - 1].scale(sign)
-    return ZSeries(tuple(det[k] for k in range(order + 1)))
+            mat[i][q - 1] = (1,) if i == 0 else ()
+    det = _bareiss(mat)
+    return ZSeries(tuple((det + [0] * (order + 1))[: order + 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +410,8 @@ def solve_system(direction: Direction, h: int, order: int) -> list[ZSeries]:
     if h < 0:
         raise ValueError("h must be nonnegative")
     m = h + 1
-    polys = _system_matrix(direction, m)
-    mat = [[ZSeries(tuple(p[k] for k in range(order + 1))) for p in row] for row in polys]
+    pad = (0,) * (order + 1)
+    mat = [[ZSeries((p + pad)[: order + 1]) for p in row] for row in _system_matrix(direction, m)]
     rhs = [ZSeries.one(order)] + [ZSeries.zero(order)] * (m - 1)
 
     for r in range(m):

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from deutsch_paths import closed
 from deutsch_paths.closed import (
     GClosedForm,
     area_coeff,
@@ -15,7 +16,7 @@ from deutsch_paths.closed import (
     f_closed,
     g_closed,
 )
-from deutsch_paths.series import IntPoly, TRational, coeff_x, zseries_of
+from deutsch_paths.series import IntPoly, TRational, ZSeries, coeff_x, zseries_of
 from deutsch_paths.strip import Direction, dp_counts, stabilized
 
 
@@ -34,6 +35,18 @@ def reference_g_pieces(i):
         if c:
             pieces.append((i - 2 * k, TRational(IntPoly((c,)), pow1t=2 * i + 1 - 3 * k)))
     return GClosedForm(tuple(pieces))
+
+
+def reference_area_convolution(order):
+    """sum_i i * f_i * g_i as dense truncated series products, O(order^3)."""
+    acc = ZSeries.zero(order)
+    for i in range(1, order + 1):
+        fi = zseries_of(f_closed(i), order)
+        if fi.is_zero():
+            continue
+        prod = fi * g_closed(i).to_series(order)
+        acc = acc + ZSeries(tuple(i * c for c in prod.coeffs))
+    return acc
 
 
 class TestBinom:
@@ -170,3 +183,24 @@ class TestArea:
     def test_convolution_small(self):
         assert area_convolution(4).coeffs == (0, 0, 1, 0, 12)
         assert area_convolution(0).is_zero()
+
+    def test_convolution_matches_dense_products(self):
+        # a truncated series product's coefficients do not depend on the
+        # order it is truncated at, so one dense reference serves every order
+        full = reference_area_convolution(60).coeffs
+        for order in range(61):
+            assert area_convolution(order).coeffs == full[: order + 1], order
+
+    def test_convolution_expands_merged_pieces(self, monkeypatch):
+        calls = 0
+
+        def counting(f, n):
+            nonlocal calls
+            calls += 1
+            return coeff_x(f, n)
+
+        monkeypatch.setattr(closed, "coeff_x", counting)
+        area_convolution(60)
+        # O(order) merged pieces times O(order) coefficients each; the dense
+        # products make about 21000 calls
+        assert 0 < calls <= 2 * 61**2

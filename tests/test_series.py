@@ -117,6 +117,20 @@ class TestDivision:
             ZSeries.one(3) / ZSeries.one(4)
 
 
+class TestIntPolyDivmod:
+    def test_exact_and_with_remainder(self):
+        assert IntPoly((-1, 0, 1)).divmod_by(IntPoly((-1, 1))) == (IntPoly((1, 1)), IntPoly())
+        assert IntPoly((2, 0, 1)).divmod_by(IntPoly((-1, 1))) == (IntPoly((1, 1)), IntPoly((3,)))
+
+    def test_not_divisible_in_z(self):
+        num = IntPoly((0, 1))
+        assert num.divmod_by(IntPoly((0, 2))) == (IntPoly(), num)
+
+    def test_zero_divisor_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            IntPoly((1,)).divmod_by(IntPoly())
+
+
 class TestCoeffX:
     def test_one_over_one_minus_t(self):
         f = TRational(IntPoly((1,)), pow1t=1)

@@ -1,13 +1,16 @@
 """Strip enumeration, determinant recurrences, and the Cramer route."""
 
 from collections import Counter
+from functools import lru_cache
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from deutsch_paths import strip
 from deutsch_paths.closed import count_rl_closed
-from deutsch_paths.series import ZSeries
+from deutsch_paths.errors import ConsistencyError
+from deutsch_paths.series import IntPoly, ZSeries
 from deutsch_paths.strip import (
     Direction,
     bounded_f,
@@ -95,6 +98,87 @@ def reference_delta(m, q, order):
         + (b(q - 3) * a(m - q - 1)).shift(2)
         + (b(q - 4) * a(m - q - 1)).shift(3)
     )
+
+
+class RefPoly(IntPoly):
+    """IntPoly with the arithmetic it had while det_direct eliminated over
+    IntPoly objects."""
+
+    def __sub__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return RefPoly(tuple(self[k] - other[k] for k in range(n)))
+
+    def __mul__(self, other):
+        if self.is_zero() or other.is_zero():
+            return RefPoly()
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+        return RefPoly(tuple(out))
+
+    def __getitem__(self, k):
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
+
+    def divmod_by(self, divisor):
+        rem = list(self.coeffs)
+        dlead = divisor.coeffs[-1]
+        dd = len(divisor.coeffs) - 1
+        q = [0] * max(len(rem) - dd, 0)
+        for k in range(len(rem) - 1, dd - 1, -1):
+            if rem[k] == 0:
+                continue
+            if rem[k] % dlead != 0:
+                return RefPoly(), self
+            c = rem[k] // dlead
+            q[k - dd] = c
+            for j, b in enumerate(divisor.coeffs):
+                rem[k - dd + j] -= c * b
+        return RefPoly(tuple(q)), RefPoly(tuple(rem))
+
+
+@lru_cache(maxsize=None)
+def reference_det_bareiss(m, q=None):
+    """det_direct's determinant as the fraction-free elimination over IntPoly
+    objects computed it, untruncated."""
+    if m == 0:
+        return RefPoly((1,))
+    mat = [[RefPoly(e) for e in row]
+           for row in strip._system_matrix(Direction.LR if q is None else Direction.RL, m)]
+    if q is not None:
+        for i in range(m):
+            mat[i][q - 1] = RefPoly((1,)) if i == 0 else RefPoly()
+    sign = 1
+    prev = RefPoly((1,))
+    for r in range(m - 1):
+        if mat[r][r].is_zero():
+            swap = next((i for i in range(r + 1, m) if not mat[i][r].is_zero()), None)
+            if swap is None:
+                return RefPoly()
+            mat[r], mat[swap] = mat[swap], mat[r]
+            sign = -sign
+        for i in range(r + 1, m):
+            for j in range(r + 1, m):
+                num = mat[i][j] * mat[r][r] - mat[i][r] * mat[r][j]
+                quot, rem = num.divmod_by(prev)
+                assert rem.is_zero()
+                mat[i][j] = quot
+            mat[i][r] = RefPoly()
+        prev = mat[r][r]
+    return mat[m - 1][m - 1] * RefPoly((sign,))
+
+
+def leibniz_det(mat):
+    """The determinant as the signed sum over permutations of products."""
+    total = RefPoly()
+    for perm in permutations(range(len(mat))):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        term = RefPoly(((-1) ** inversions,))
+        for i, j in enumerate(perm):
+            term = term * RefPoly(mat[i][j])
+        total = total - term * RefPoly((-1,))  # RefPoly has no addition
+    return list(total.coeffs)
 
 
 class TestDpCounts:
@@ -236,6 +320,47 @@ class TestDeterminants:
             for m in range(1, 13)
             for q in range(1, m + 1)
         )
+
+    @pytest.mark.parametrize("order", [0, 1, 5, 16, 20])
+    def test_direct_matches_intpoly_bareiss(self, order):
+        for m in range(13):
+            for q in [None, *range(1, m + 1)]:
+                ref = reference_det_bareiss(m, q)
+                expected = ZSeries(tuple(ref[k] for k in range(order + 1)))
+                assert det_direct(m, order, q=q) == expected, (m, q)
+
+    @pytest.mark.parametrize("q", [3, 0, -1])
+    def test_direct_validates_q_before_the_empty_matrix(self, q):
+        with pytest.raises(ValueError):
+            det_direct(0, 4, q=q)
+
+    def test_direct_empty_matrix(self):
+        assert det_direct(0, 4) == ZSeries.one(4)
+
+
+class TestBareiss:
+    def test_zero_pivot_swaps_rows_and_flips_sign(self):
+        assert strip._bareiss([[[], [1]], [[1], []]]) == [-1]
+        # expanding along the second row: -(z * z^2 - 1) = 1 - z^3
+        assert strip._bareiss([[[], [0, 1], [1]], [[1], [], []], [[], [1], [0, 0, 1]]]) == [1, 0, 0, -1]
+
+    def test_singular(self):
+        assert strip._bareiss([[[1], [2]], [[2], [4]]]) == []
+        assert strip._bareiss([[[], [1]], [[0, 0], [0, 1]]]) == []
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.lists(st.integers(-2, 2), max_size=3), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    @settings(max_examples=60)
+    def test_matches_permutation_expansion(self, mat):
+        assert strip._bareiss(mat) == leibniz_det(mat)
+
+    def test_inexact_division_raises(self):
+        with pytest.raises(ConsistencyError):
+            strip._exact_quotient([1, 1], [0, 1])  # remainder 1
+        with pytest.raises(ConsistencyError):
+            strip._exact_quotient([0, 1], [0, 2])  # 1/2 is no integer
+        assert strip._exact_quotient([-1, 0, 1], [-1, 1]) == [1, 1]
 
 
 class TestCramer:
