@@ -31,6 +31,7 @@ from .strip import (
     dp_counts,
     seq_a,
     seq_b,
+    sequence_terms,
     solve_system,
     stabilized,
 )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -145,7 +146,13 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, list[str]]:
     return (0 if all_passed else 1), lines
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one in the process (`main` parses each argv with it): parsing
+    keeps no state in the parser, since every default is immutable and
+    `set_defaults(func=...)` writes only to the namespace of that parse.
+    Callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="deutsch-paths",
         description="Exact enumeration of Deutsch paths: triangles, series, "
@@ -189,8 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code, lines = args.func(args)
     except UsageError as exc:

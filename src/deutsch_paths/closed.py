@@ -13,7 +13,7 @@ from itertools import zip_longest
 from math import comb
 
 from .errors import ConsistencyError
-from .series import IntPoly, TRational, ZSeries, coeff_x, poly_mul
+from .series import IntPoly, TRational, ZSeries, binomial_diagonal, coeff_x, poly_mul
 
 
 def binom(n: int, k: int) -> int:
@@ -120,15 +120,22 @@ def area_gf() -> TRational:
 
 def area_coeff(n: int) -> int:
     """[x^n] of the area generating function by the explicit binomial sum
-    sum_k 3^k [C(3n-k, n-1-k) + 3 C(3n-1-k, n-2-k)]."""
+    sum_k 3^k [C(3n-k, n-1-k) + 3 C(3n-1-k, n-2-k)].
+
+    Both binomials lie on one diagonal, D_k = C(3n-k, n-1-k), the second
+    being D_(k+1) (D_n = 0): one `comb` and one exact multiply-divide per
+    term (`binomial_diagonal`), with 3^k carried as a running product.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return 0
+    diag = binomial_diagonal(3 * n, n - 1, n + 1)
     total = 0
+    power = 1
     for k in range(n):
-        term = binom(3 * n - k, n - 1 - k) + 3 * binom(3 * n - 1 - k, n - 2 - k)
-        total += 3**k * term
+        total += power * (diag[k] + 3 * diag[k + 1])
+        power *= 3
     return total
 
 

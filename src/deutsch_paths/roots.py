@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .closed import f_closed
 from .series import zseries_of
-from .strip import Direction, seq_a, seq_b, stabilized
+from .strip import Direction, sequence_terms, stabilized
 
 DISC_RADIUS_SQ = 4.0 / 27.0  # singularity of t(x) sits at t = 1/3
 TOL = 1e-10  # residual bound of the verify_* checks (g adds its series tail)
@@ -114,17 +114,18 @@ def _b_closed(rs: RootSet, n: int) -> float:
 
 
 def verify_an_bn(rs: RootSet, n_max: int) -> Report:
-    """Radical closed forms of a_n and b_n against the exact recurrences,
-    both evaluated at the numeric z of the RootSet."""
+    """Radical closed forms of a_n and b_n against the exact recurrences
+    (one pass over each, `sequence_terms`), both evaluated at the numeric z
+    of the RootSet."""
     if rs.t > 1 / 3 - 0.03:
         raise ValueError("t too close to 1/3 for the 3t-1 denominator")
     rep = Report()
     order = 2 * n_max  # the polynomials a_n, b_n fit within degree 2n
-    for n in range(n_max + 1):
-        exact_a = seq_a(n, order).eval_float(rs.z)
-        exact_b = seq_b(n, order).eval_float(rs.z)
-        rep.check(f"a_{n}", _a_closed(rs, n) - exact_a, TOL)
-        rep.check(f"b_{n}", _b_closed(rs, n) - exact_b, TOL)
+    a_terms = sequence_terms("a", n_max, order)
+    b_terms = sequence_terms("b", n_max, order)
+    for n, (a, b) in enumerate(zip(a_terms, b_terms)):
+        rep.check(f"a_{n}", _a_closed(rs, n) - a.eval_float(rs.z), TOL)
+        rep.check(f"b_{n}", _b_closed(rs, n) - b.eval_float(rs.z), TOL)
     return rep
 
 

@@ -3,7 +3,7 @@
 Everything here is big-integer arithmetic: polynomials are dense coefficient
 tuples, series are truncated at an explicit order, and the substitution
 x = t(1-t)^2 (with x = z^2) is handled by contour-style coefficient
-extraction that only ever touches integer binomials.
+extraction that only ever touches integer binomials, walked by exact ratios.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from math import comb
 from operator import mul
 from typing import Iterable, Sequence
+
+from .errors import ConsistencyError
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +212,36 @@ class TRational:
 T_OVER_ONE = TRational(IntPoly((0, 1)))  # plain t
 
 
+def binomial_diagonal(top: int, bottom: int, count: int) -> list[int]:
+    """C(top - j, bottom - j) for j = 0..count-1, zero once bottom - j < 0,
+    for 0 <= bottom <= top: one `comb`, then each next term by the exact
+    ratio C(N-1, K-1) = C(N, K) K / N, its remainder checked."""
+    if not 0 <= bottom <= top:
+        raise ValueError(f"need 0 <= bottom <= top, got top={top}, bottom={bottom}")
+    steps = min(count, bottom + 1)
+    if steps <= 0:
+        return [0] * count
+    c = comb(top, bottom)
+    out = [c]
+    for k, n in zip(range(bottom, bottom - steps + 1, -1), range(top, 0, -1)):
+        c, rem = divmod(c * k, n)
+        if rem:
+            raise ConsistencyError(f"C({n}, {k}) * {k} / {n} is not an integer")
+        out.append(c)
+    return out + [0] * (count - steps)
+
+
 def coeff_x(f: TRational, n: int) -> int:
     """Exact [x^n] of f(t) under the substitution x = t(1-t)^2.
 
     Uses [x^n] F = [t^n] (1-3t) (1-t)^(-2n-1) F(t), staying entirely in
-    integer arithmetic; f must carry no z prefactor.
+    integer arithmetic; f must carry no z prefactor.  With
+    N = 3n + pow1t, this is sum_j num_j C(N - j, n - j), num being the
+    numerator times (1-3t)^(1-pow13t) up to t^n.  For pow13t = b >= 2 that
+    factor is sum_j C(b-2+j, j) 3^j t^j, each term the previous one times
+    3 (b-1+j) / (j+1); the binomials lie on one diagonal
+    (`binomial_diagonal`).  So one `comb`, then one exact multiply-divide
+    per term.
     """
     if f.zshift != 0:
         raise ValueError("coeff_x requires zshift == 0; use zseries_of for shifted forms")
@@ -227,15 +254,20 @@ def coeff_x(f: TRational, n: int) -> int:
     elif b == 1:
         factor = (1,)
     else:
-        factor = [comb(b - 2 + j, j) * 3**j for j in range(n + 1)]
+        term = 1
+        factor = [term]
+        for j in range(n):
+            term, rem = divmod(term * 3 * (b - 1 + j), j + 1)
+            if rem:
+                raise ConsistencyError(f"(1-3t)^{1 - b}: term t^{j + 1} is not an integer")
+            factor.append(term)
     numer = f.numer.coeffs
     num = [0] * min(n + 1, len(numer) + len(factor) - 1)
     for i, a in enumerate(numer[: len(num)]):
         if a:
             for j, c in enumerate(factor[: len(num) - i]):
                 num[i + j] += a * c
-    c1 = 2 * n + 1 + f.pow1t
-    return sum(c * comb(c1 - 1 + (n - j), n - j) for j, c in enumerate(num))
+    return sum(map(mul, num, binomial_diagonal(3 * n + f.pow1t, n, len(num))))
 
 
 def zseries_of(f: TRational, order: int) -> ZSeries:

@@ -221,31 +221,38 @@ def _cramer(direction: Direction, level: int, barriers: tuple[int, ...], order: 
     return quotients
 
 
-def _term(name: str, n: int, order: int) -> ZSeries:
-    """One sequence term as a z-series: z^(n mod 2) beta_n for b."""
-    parity = n % 2 if name == "b" else 0
-    return _zseries(_terms({(name, n)}, _cap(order, parity))[name, n], parity, order)
+def sequence_terms(name: str, n: int, order: int) -> list[ZSeries]:
+    """Terms 0..n of a_n ("a"), b_n ("b", z^(n mod 2) beta_n) or d_m ("d")
+    as z-series, from one pass over the sequence's recurrence: O(n) steps,
+    where asking `seq_a`, `seq_b` or `det_d` for each index restarts the
+    stream every time.  Empty for n < 0."""
+    if name not in ("a", "b", "d"):
+        raise ValueError(f"unknown sequence {name!r}")
+    # the even cap keeps every term exact up to z^order; an odd b term may
+    # need one coefficient less, which `_zseries` drops
+    terms = zip(range(n + 1), _sequence(name, _cap(order, 0)))
+    return [_zseries(u, j % 2 if name == "b" else 0, order) for j, u in terms]
 
 
 def seq_a(n: int, order: int) -> ZSeries:
     """Coefficient of X^n in 1/(1 - X + z^2 X^3); zero series for n < 0."""
     if n < 0:
         return ZSeries.zero(order)
-    return _term("a", n, order)
+    return sequence_terms("a", n, order)[n]
 
 
 def seq_b(n: int, order: int) -> ZSeries:
     """Coefficient of Y^n in 1/(1 - Y^2 - z Y^3); zero series for n < 0."""
     if n < 0:
         return ZSeries.zero(order)
-    return _term("b", n, order)
+    return sequence_terms("b", n, order)[n]
 
 
 def det_d(m: int, order: int) -> ZSeries:
     """Determinant of the m x m system matrix: d_m = d_{m-1} - z^2 d_{m-3}."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return _term("d", m, order)
+    return sequence_terms("d", m, order)[m]
 
 
 def delta(m: int, q: int, order: int) -> ZSeries:

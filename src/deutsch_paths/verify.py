@@ -21,7 +21,7 @@ from .strip import (
     det_d,
     det_direct,
     dp_counts,
-    seq_a,
+    sequence_terms,
     solve_system,
     stabilized,
 )
@@ -111,8 +111,9 @@ def suite_cramer() -> SuiteReport:
         for q in range(1, m + 1)
     )
     rep.add(f"Delta_(m,q) == direct determinant (m<={m_max})", ok)
-    ok = all(det_d(m, order) == seq_a(m + 1, order) for m in range(31))
-    rep.add("d_m == a_(m+1) (m<=30)", ok)
+    # each from its own stream: d keeps its own initial terms 1, 1, 1 - x
+    d_terms, a_terms = sequence_terms("d", 30, order), sequence_terms("a", 31, order)
+    rep.add("d_m == a_(m+1) (m<=30)", d_terms == a_terms[1:])
 
     ok = True
     for level in (0, 1, 2):

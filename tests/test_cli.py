@@ -207,6 +207,42 @@ class TestExitCodes:
         assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
 
 
+class TestParserReuse:
+    def test_main_builds_one_parser(self, monkeypatch, capsys):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            built.append(self.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()
+        try:
+            assert run(capsys, "triangle", "--n", "3")[0] == 0
+            assert run(capsys, "area", "--nmax", "2")[0] == 0
+        finally:
+            build_parser.cache_clear()  # later tests get an uncounted parser
+        assert built.count("deutsch-paths") == 1
+
+    def test_usage_error_leaves_no_state(self, capsys):
+        valid = ["series", "--direction", "rl", "--level", "1", "--order", "9"]
+        bad = ["series", "--level", "1", "--order", "-2", "--format", "json"]
+        first = run(capsys, *valid)
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        # the same argv through a parser of its own, built fresh
+        with pytest.raises(SystemExit) as fresh_exc:
+            build_parser.__wrapped__().parse_args(bad)
+        assert fresh_exc.value.code == 2
+        assert capsys.readouterr().err == err
+        # a call that sets every flag, then one that leaves them to defaults
+        assert run(capsys, *valid, "--height", "9", "--format", "csv")[0] == 0
+        assert run(capsys, *valid) == first == (0, "0 1 0 3 0 12 0 55 0 273\n")
+
+
 class TestSuiteRegistry:
     def test_verify_all_json_matches_reference(self, capsys, monkeypatch):
         monkeypatch.delenv("DEUTSCH_BUDGET", raising=False)

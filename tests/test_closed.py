@@ -1,9 +1,11 @@
 """Closed forms: binomial counts, Catalan identity, g rationalization, area."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, strategies as st
 
-from deutsch_paths import closed
+from deutsch_paths import closed, series
 from deutsch_paths.closed import (
     GClosedForm,
     area_coeff,
@@ -35,6 +37,16 @@ def reference_g_pieces(i):
         if c:
             pieces.append((i - 2 * k, TRational(IntPoly((c,)), pow1t=2 * i + 1 - 3 * k)))
     return GClosedForm(tuple(pieces))
+
+
+def reference_area_coeff(n):
+    """The unoptimised area_coeff: two fresh binomials and a 3**k per term."""
+    if n == 0:
+        return 0
+    return sum(
+        3**k * (binom(3 * n - k, n - 1 - k) + 3 * binom(3 * n - 1 - k, n - 2 - k))
+        for k in range(n)
+    )
 
 
 def reference_area_convolution(order):
@@ -173,6 +185,27 @@ class TestArea:
     @pytest.mark.parametrize("n,expected", [(0, 0), (1, 1), (2, 12), (3, 102)])
     def test_coeff_values(self, n, expected):
         assert area_coeff(n) == expected
+
+    def test_coeff_matches_reference(self):
+        for n in range(201):
+            assert area_coeff(n) == reference_area_coeff(n), n
+
+    def test_one_comb_per_coefficient(self, monkeypatch):
+        # the binomials of both routes lie on one diagonal each, walked by
+        # exact ratios; a comb per term makes about 200 calls at n = 100
+        calls = 0
+
+        def counting(n, k):
+            nonlocal calls
+            calls += 1
+            return comb(n, k)
+
+        monkeypatch.setattr(series, "comb", counting)
+        monkeypatch.setattr(closed, "comb", counting)
+        for route in (lambda: area_coeff(100), lambda: coeff_x(area_gf(), 100)):
+            calls = 0
+            route()
+            assert 0 < calls <= 2
 
     def test_three_routes_agree(self):
         gf = area_gf()

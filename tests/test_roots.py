@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from deutsch_paths import strip
 from deutsch_paths.roots import (
     root_set,
     t_of_z,
@@ -98,6 +99,20 @@ class TestAnBn:
     def test_too_close_to_singularity(self):
         with pytest.raises(ValueError):
             verify_an_bn(root_set(0.33), 5)
+
+    def test_linear_recurrence_steps(self, monkeypatch):
+        # one pass over each stream; restarting it for every n makes about
+        # n^2 / 2 steps per stream (over 800 for n <= 30)
+        real, steps = strip._step, 0
+
+        def counting(*args):
+            nonlocal steps
+            steps += 1
+            return real(*args)
+
+        monkeypatch.setattr(strip, "_step", counting)
+        assert verify_an_bn(root_set(0.1), 30).passed
+        assert 0 < steps <= 2 * 31
 
 
 class TestGNumeric:

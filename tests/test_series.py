@@ -1,6 +1,7 @@
 """Series engine: exact arithmetic, inversion, and coefficient extraction."""
 
 from itertools import zip_longest
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,7 @@ from deutsch_paths.series import (
     IntPoly,
     TRational,
     ZSeries,
+    binomial_diagonal,
     coeff_x,
     t_series,
     zseries_of,
@@ -131,6 +133,45 @@ class TestIntPolyDivmod:
             IntPoly((1,)).divmod_by(IntPoly())
 
 
+def reference_coeff_x(f, n):
+    """The unoptimised coeff_x: a fresh comb (and 3**j) for every term."""
+    if n < 0:
+        return 0
+    b = f.pow13t
+    if b == 0:
+        factor = (1, -3)
+    elif b == 1:
+        factor = (1,)
+    else:
+        factor = [comb(b - 2 + j, j) * 3**j for j in range(n + 1)]
+    numer = f.numer.coeffs
+    num = [0] * min(n + 1, len(numer) + len(factor) - 1)
+    for i, a in enumerate(numer[: len(num)]):
+        for j, c in enumerate(factor[: len(num) - i]):
+            num[i + j] += a * c
+    c1 = 2 * n + 1 + f.pow1t
+    return sum(c * comb(c1 - 1 + (n - j), n - j) for j, c in enumerate(num))
+
+
+class TestBinomialDiagonal:
+    def test_matches_comb(self):
+        # every start, K = 0 and N = K included, and counts past the diagonal's end
+        for top in range(12):
+            for bottom in range(top + 1):
+                for count in range(bottom + 4):
+                    expected = [comb(top - j, bottom - j) if j <= bottom else 0
+                                for j in range(count)]
+                    assert binomial_diagonal(top, bottom, count) == expected, (top, bottom, count)
+
+    def test_long_diagonal(self):
+        assert binomial_diagonal(480, 160, 161) == [comb(480 - j, 160 - j) for j in range(161)]
+
+    @pytest.mark.parametrize("top,bottom", [(3, 4), (3, -1), (-1, -1)])
+    def test_out_of_range_rejected(self, top, bottom):
+        with pytest.raises(ValueError):
+            binomial_diagonal(top, bottom, 1)
+
+
 class TestCoeffX:
     def test_one_over_one_minus_t(self):
         f = TRational(IntPoly((1,)), pow1t=1)
@@ -167,6 +208,16 @@ class TestCoeffX:
         total = tuple(x + y for x, y in zip_longest(p1, p2, fillvalue=0))
         f_plus_g = TRational(IntPoly(total), pow1t=a, pow13t=b)
         assert coeff_x(f_plus_g, n) == coeff_x(f, n) + coeff_x(g, n)
+
+    @given(
+        st.lists(st.integers(-5, 5), min_size=1, max_size=4),
+        st.integers(0, 6),
+        st.integers(0, 4),
+        st.integers(-1, 60),
+    )
+    def test_matches_reference(self, numer, a, b, n):
+        f = TRational(IntPoly(tuple(numer)), pow1t=a, pow13t=b)
+        assert coeff_x(f, n) == reference_coeff_x(f, n)
 
     def test_canonical_form_strips_common_factors(self):
         # (1-t)/(1-t)^3 == 1/(1-t)^2 as series, with the factor left in place

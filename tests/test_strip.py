@@ -21,6 +21,7 @@ from deutsch_paths.strip import (
     dp_counts,
     seq_a,
     seq_b,
+    sequence_terms,
     solve_system,
     stabilized,
 )
@@ -263,7 +264,9 @@ class TestSequences:
     @pytest.mark.parametrize("order", [0, 1, 2, 7, 20, 61])
     def test_match_dense_reference(self, order):
         for name, term in (("a", seq_a), ("b", seq_b), ("d", det_d)):
-            for n, ref in zip(range(61), reference_stream(name, order)):
+            refs = list(zip(range(61), reference_stream(name, order)))
+            assert sequence_terms(name, 60, order) == [ref for _, ref in refs], name
+            for n, ref in refs:
                 assert term(n, order) == ref, (name, n)
 
     def test_b_keeps_one_parity(self):
@@ -280,6 +283,35 @@ class TestSequences:
     @given(st.integers(3, 25), st.integers(4, 16))
     def test_b_recurrence(self, n, order):
         assert seq_b(n, order) == seq_b(n - 2, order) + seq_b(n - 3, order).shift(1)
+
+    def test_terms_edge_cases(self):
+        assert sequence_terms("a", -1, 5) == []
+        assert sequence_terms("d", 0, 0) == [ZSeries.one(0)]
+        with pytest.raises(ValueError):
+            sequence_terms("e", 3, 5)
+
+    def test_terms_one_pass_of_their_own_stream(self, monkeypatch):
+        # d comes from its own recurrence, never from the a stream it is
+        # checked against, and n terms cost O(n) steps
+        real_sequence, real_step = strip._sequence, strip._step
+        streams, steps = [], 0
+
+        def sequence(name, cap):
+            streams.append(name)
+            return real_sequence(name, cap)
+
+        def step(*args):
+            nonlocal steps
+            steps += 1
+            return real_step(*args)
+
+        monkeypatch.setattr(strip, "_sequence", sequence)
+        monkeypatch.setattr(strip, "_step", step)
+        for name in ("a", "b", "d"):
+            streams.clear()
+            steps = 0
+            sequence_terms(name, 30, 60)
+            assert (streams, steps) == ([name], 28)
 
 
 class TestDeterminants:
