@@ -40,10 +40,13 @@ def _render_rows(rows: list[list[int]], fmt: str, doc: dict) -> list[str]:
 
 
 def _nonneg(value: str) -> int:
-    n = int(value)
-    if n < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return n
+    try:
+        n = int(value)
+        if n >= 0:
+            return n
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value!r}")
 
 
 def _budget() -> int:

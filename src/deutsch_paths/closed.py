@@ -9,11 +9,11 @@ where g_1 = z/(1-t)^3 is forced by the mu-closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 from math import comb
 
 from .errors import ConsistencyError
-from .series import IntPoly, TRational, ZSeries, binomial_diagonal, coeff_x, poly_mul
+from .series import (IntPoly, TRational, ZSeries, binomial_diagonal, coeff_x, poly_mul,
+                     shifted_sum, zseries_of)
 
 
 def binom(n: int, k: int) -> int:
@@ -145,8 +145,9 @@ def area_convolution(order: int) -> ZSeries:
     Each product of f_i = z^i/(1-t)^(i+1) with a piece of g_i is one rational
     piece z^p numer(t)/((1-t)^a (1-3t)^b), so the pieces with equal (p, a, b)
     add their numerators, and the pieces with p <= order (O(order) of them
-    after merging) are expanded with one coeff_x per coefficient.  The route
-    starts from f_closed and g_closed, never from area_gf, which it checks.
+    after merging) are expanded by zseries_of, one coeff_x per coefficient.
+    The route starts from f_closed and g_closed, never from area_gf, which it
+    checks.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -159,10 +160,9 @@ def area_convolution(order: int) -> ZSeries:
                 continue
             key = (p, f.pow1t + piece.pow1t, f.pow13t + piece.pow13t)
             term = [i * c for c in poly_mul(f.numer.coeffs, piece.numer.coeffs)]
-            merged[key] = [x + y for x, y in zip_longest(merged.get(key, ()), term, fillvalue=0)]
-    cs = [0] * (order + 1)
-    for (p, a, b), numer in merged.items():
-        piece = TRational(IntPoly(tuple(numer)), pow1t=a, pow13t=b)
-        for n in range(p, order + 1, 2):
-            cs[n] += coeff_x(piece, (n - p) // 2)
-    return ZSeries(tuple(cs))
+            merged[key] = shifted_sum(merged.get(key, []), term)
+    return sum(
+        (zseries_of(TRational(IntPoly(tuple(numer)), a, b, zshift=p), order)
+         for (p, a, b), numer in merged.items()),
+        ZSeries.zero(order),
+    )

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .closed import f_closed
-from .series import zseries_of
 from .strip import Direction, sequence_terms, stabilized
 
 DISC_RADIUS_SQ = 4.0 / 27.0  # singularity of t(x) sits at t = 1/3
@@ -138,9 +136,7 @@ def verify_g_numeric(i: int, order: int, z: float) -> Report:
     if i > 12:
         raise ValueError("levels above 12 are out of certification scope")
     t = t_of_z(z)
-    series = (
-        stabilized(Direction.RL, i, order) if i > 0 else zseries_of(f_closed(0), order)
-    )
+    series = stabilized(Direction.RL, i, order)
     partial = series.eval_float(z)
     last = next((c * z**p for p, c in reversed(list(enumerate(series.coeffs))) if c), 0.0)
     if i == 0:

@@ -1,23 +1,27 @@
 """Exact truncated power series in z and coefficient extraction under x = t(1-t)^2.
 
-Everything here is big-integer arithmetic: polynomials are dense coefficient
-tuples, series are truncated at an explicit order, and the substitution
-x = t(1-t)^2 (with x = z^2) is handled by contour-style coefficient
-extraction that only ever touches integer binomials, walked by exact ratios.
+Everything here is big-integer arithmetic: polynomials are integer
+coefficient lists (lowest power first), series are truncated at an explicit
+order, and the substitution x = t(1-t)^2 (with x = z^2) is handled by
+contour-style coefficient extraction that only ever touches integer
+binomials, walked by exact ratios.  One kernel does the list arithmetic of
+every exact route: `poly_mul` (the product), `shifted_sum` (u +- x^s v) and
+`place` (coefficients into a truncated ZSeries at z^(shift + stride k)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count, islice
 from math import comb
-from operator import mul
-from typing import Iterable, Sequence
+from operator import add, mul, sub
+from typing import Iterable, Optional, Sequence
 
 from .errors import ConsistencyError
 
 
 # ---------------------------------------------------------------------------
-# integer polynomials (dense tuples, index = exponent)
+# integer polynomials (coefficient lists, index = exponent)
 # ---------------------------------------------------------------------------
 
 def trim(coeffs: Iterable[int]) -> list[int]:
@@ -49,14 +53,40 @@ class IntPoly:
         return IntPoly(tuple(quot)), IntPoly(tuple(rem))
 
 
-def poly_mul(u: Sequence[int], v: Sequence[int]) -> list[int]:
-    """The product of two nonzero integer polynomials (coefficient lists)."""
-    out = [0] * (len(u) + len(v) - 1)
+def poly_mul(u: Sequence[int], v: Sequence[int], cap: Optional[int] = None) -> list[int]:
+    """The product of two integer polynomials (coefficient lists), truncated
+    at t^cap (cap >= 0) when cap is given; [] when either factor is empty.
+    Zero coefficients cost no multiplication, and a zero row of u nothing."""
+    if not u or not v:
+        return []
+    n = len(u) + len(v) - 1
+    if cap is not None and cap < n - 1:
+        n = cap + 1
+        u = u[:n]
+    full = n - len(v)  # rows up to this one take all of v
+    out = [0] * n
     for i, a in enumerate(u):
         if a:
-            for j, b in enumerate(v, i):
-                out[j] += a * b
+            for j, b in enumerate(v if i <= full else v[: n - i], i):
+                if b:
+                    out[j] += a * b
     return out
+
+
+def shifted_sum(u: list[int], v: list[int], shift: int = 0, sign: int = 1,
+                cap: Optional[int] = None) -> list[int]:
+    """u + sign t^shift v (sign +1 or -1) for coefficient lists, truncated at
+    t^cap (cap >= 0) when cap is given, else as long as the longer of u and
+    t^shift v."""
+    if shift:
+        v = [0] * shift + v
+    n = max(len(u), len(v)) if cap is None else min(max(len(u), len(v)), cap + 1)
+    # u is padded or cut to length n; map stops there, and equal lengths copy nothing
+    if len(u) != n:
+        u = u[:n] + [0] * (n - len(u))
+    if len(v) < n:
+        v = v + [0] * (n - len(v))
+    return list(map(add if sign > 0 else sub, u, v))
 
 
 def long_division(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -148,22 +178,15 @@ class ZSeries:
 
     def __mul__(self, other: "ZSeries") -> "ZSeries":
         self._check_order(other)
-        out = [0] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j in range(self.order + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return ZSeries(tuple(out))
+        # a list for v: poly_mul slices v on each row, and tuple slices kept
+        # ≈0.3 MB more peak memory in `verify --suite all` (tuple free lists)
+        return ZSeries(tuple(poly_mul(self.coeffs, list(other.coeffs), self.order)))
 
     def shift(self, p: int) -> "ZSeries":
         """Multiply by z^p, truncating at the same order."""
         if p < 0:
             raise ValueError("negative shift")
-        if p > self.order:
-            return ZSeries.zero(self.order)
-        return ZSeries((0,) * p + self.coeffs[: self.order + 1 - p])
+        return place(self.coeffs, self.order, p)
 
     def __truediv__(self, other: "ZSeries") -> "ZSeries":
         """Exact quotient; the divisor needs constant coefficient +-1.
@@ -186,6 +209,17 @@ class ZSeries:
         for a in reversed(self.coeffs):
             acc = acc * z + a
         return acc
+
+
+def place(coeffs: Iterable[int], order: int, shift: int = 0, stride: int = 1) -> ZSeries:
+    """sum_k c_k z^(shift + stride k) truncated at z^order, taking from
+    `coeffs` only the c_k that fit (missing ones are zero): the zero series
+    when shift > order."""
+    cs = [0] * (order + 1)
+    slots = len(range(shift, order + 1, stride))
+    taken = list(islice(coeffs, slots))
+    cs[shift::stride] = taken + [0] * (slots - len(taken))
+    return ZSeries(tuple(cs))
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +295,7 @@ def coeff_x(f: TRational, n: int) -> int:
             if rem:
                 raise ConsistencyError(f"(1-3t)^{1 - b}: term t^{j + 1} is not an integer")
             factor.append(term)
-    numer = f.numer.coeffs
-    num = [0] * min(n + 1, len(numer) + len(factor) - 1)
-    for i, a in enumerate(numer[: len(num)]):
-        if a:
-            for j, c in enumerate(factor[: len(num) - i]):
-                num[i + j] += a * c
+    num = poly_mul(f.numer.coeffs, factor, n)
     return sum(map(mul, num, binomial_diagonal(3 * n + f.pow1t, n, len(num))))
 
 
@@ -275,12 +304,7 @@ def zseries_of(f: TRational, order: int) -> ZSeries:
     if order < 0:
         raise ValueError("order must be nonnegative")
     base = f.drop_zshift()
-    p = f.zshift
-    cs = [0] * (order + 1)
-    for m in range(p, order + 1):
-        if (m - p) % 2 == 0:
-            cs[m] = coeff_x(base, (m - p) // 2)
-    return ZSeries(tuple(cs))
+    return place((coeff_x(base, n) for n in count()), order, f.zshift, 2)
 
 
 def t_series(order: int) -> ZSeries:

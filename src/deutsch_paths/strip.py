@@ -18,12 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count, zip_longest
-from operator import add, sub
+from itertools import count
 from typing import Iterator, Optional
 
 from .errors import ConsistencyError
-from .series import ZSeries, divide, long_division, poly_mul, trim
+from .series import ZSeries, divide, long_division, place, poly_mul, shifted_sum, trim
 
 
 class Direction(Enum):
@@ -101,29 +100,15 @@ def dp_counts(direction: Direction, n_max: int, height: Optional[int] = None) ->
 # the auxiliary coefficient sequences and the Cramer quotients, in x = z^2
 # ---------------------------------------------------------------------------
 
-def _step(u: list[int], v: list[int], shift: int, op, cap: int) -> list[int]:
-    """op(u, x^shift v) termwise, for coefficient lists in x truncated at
-    x^cap: one step of a sequence's recurrence."""
-    n = min(max(len(u), len(v) + shift), cap + 1)
-    w = [0] * shift + v
-    return list(map(op, u + [0] * (n - len(u)), w + [0] * (n - len(w))))
-
-
-def _three_term(init: tuple[list[int], list[int], list[int]], step) -> Iterator[list[int]]:
-    """Yield u_0, u_1, ... of u_n = step(n, u_{n-3}, u_{n-2}, u_{n-1}) with
-    u_0, u_1, u_2 = init, holding only the last three terms; a term is
-    computed when it is asked for."""
-    u3, u2, u1 = init
-    yield u3
-    yield u2
-    for n in count(3):
-        yield u1
-        u3, u2, u1 = u2, u1, step(n, u3, u2, u1)
+def _step(u: list[int], v: list[int], shift: int, sign: int, cap: int) -> list[int]:
+    """One step of a sequence's recurrence: u + sign x^shift v, truncated at x^cap."""
+    return shifted_sum(u, v, shift, sign, cap)
 
 
 def _sequence(name: str, cap: int) -> Iterator[list[int]]:
     """The stream of a_n ("a"), beta_n ("b") or d_m ("d") as coefficient
-    lists in x = z^2, truncated at x^cap (cap >= 0).
+    lists in x = z^2, truncated at x^cap (cap >= 0), holding only the last
+    three terms; a term is computed when it is asked for.
 
     a_n and d_m are polynomials in x: u_n = u_{n-1} - x u_{n-3}.  d keeps its
     own initial terms 1, 1, 1 - x, so d_m == a_{m+1} is a real check, not an
@@ -131,11 +116,15 @@ def _sequence(name: str, cap: int) -> Iterator[list[int]]:
     beta_0, beta_1, beta_2 = 1, 0, 1 and beta_n = beta_{n-2} + x^[n even]
     beta_{n-3}.
     """
-    if name == "b":
-        return _three_term(([1], [], [1]),
-                           lambda n, u3, u2, u1: _step(u2, u3, 1 - n % 2, add, cap))
-    init = ([1], [1], [1] if name == "a" else [1, -1][: cap + 1])
-    return _three_term(init, lambda n, u3, u2, u1: _step(u1, u3, 1, sub, cap))
+    inits = {"a": ([1], [1], [1]), "b": ([1], [], [1]), "d": ([1], [1], [1, -1][: cap + 1])}
+    u3, u2, u1 = inits[name]
+    beta = name == "b"
+    yield u3
+    yield u2
+    for n in count(3):
+        yield u1
+        nxt = _step(u2, u3, 1 - n % 2, 1, cap) if beta else _step(u1, u3, 1, -1, cap)
+        u3, u2, u1 = u2, u1, nxt
 
 
 def _terms(wanted: set[tuple[str, int]], cap: int) -> dict[tuple[str, int], list[int]]:
@@ -154,14 +143,6 @@ def _cap(order: int, parity: int) -> int:
     """The top power of x a series of this parity needs up to z^order; at
     least 0, so the determinants keep their constant term."""
     return max(order - parity, 0) // 2
-
-
-def _zseries(poly: list[int], parity: int, order: int) -> ZSeries:
-    """z^parity poly(z^2), truncated at z^order."""
-    cs = [0] * (order + 1)
-    slots = len(cs[parity::2])
-    cs[parity::2] = (poly + [0] * slots)[:slots]
-    return ZSeries(tuple(cs))
 
 
 def _numerator(direction: Direction, level: int, m: int) -> list[tuple[int, tuple]]:
@@ -190,17 +171,12 @@ def _numerator(direction: Direction, level: int, m: int) -> list[tuple[int, tupl
 def _evaluate(numerator: list[tuple[int, tuple]], terms: dict, cap: int) -> list[int]:
     """Sum a numerator from `_numerator` over the sequence terms in `terms`,
     as a polynomial in x truncated at x^cap."""
-    total = [0] * (cap + 1)
+    total: list[int] = []
     for s, factors in numerator:
         left, *rest = [terms[f] for f in factors]
-        right = rest[0] if rest else [1]
-        for i, c in enumerate(left, s):
-            k = min(len(right), cap + 1 - i)
-            if k <= 0:
-                break
-            if c:
-                total[i:i + k] = map(add, total[i:i + k], [c * r for r in right[:k]])
-    return total
+        product = poly_mul(left, rest[0], cap - s) if rest else left
+        total = shifted_sum(total, product, s, 1, cap)
+    return total + [0] * (cap + 1 - len(total))
 
 
 def _cramer(direction: Direction, level: int, barriers: tuple[int, ...], order: int) -> list[ZSeries]:
@@ -217,7 +193,7 @@ def _cramer(direction: Direction, level: int, barriers: tuple[int, ...], order: 
         den = terms["d", h + 1]
         if den[0] != 1:
             raise ConsistencyError(f"d_{h + 1} has constant term {den[0]}, not 1")
-        quotients.append(_zseries(divide(_evaluate(num, terms, cap), den), parity, order))
+        quotients.append(place(divide(_evaluate(num, terms, cap), den), order, parity, 2))
     return quotients
 
 
@@ -229,9 +205,9 @@ def sequence_terms(name: str, n: int, order: int) -> list[ZSeries]:
     if name not in ("a", "b", "d"):
         raise ValueError(f"unknown sequence {name!r}")
     # the even cap keeps every term exact up to z^order; an odd b term may
-    # need one coefficient less, which `_zseries` drops
+    # need one coefficient less, which `place` drops
     terms = zip(range(n + 1), _sequence(name, _cap(order, 0)))
-    return [_zseries(u, j % 2 if name == "b" else 0, order) for j, u in terms]
+    return [place(u, order, j % 2 if name == "b" else 0, 2) for j, u in terms]
 
 
 def seq_a(n: int, order: int) -> ZSeries:
@@ -270,7 +246,7 @@ def delta(m: int, q: int, order: int) -> ZSeries:
     parity = (q - 1) % 2
     cap = _cap(order, parity)
     terms = _terms({f for _, fs in numerator for f in fs}, cap)
-    return _zseries(_evaluate(numerator, terms, cap), parity, order)
+    return place(_evaluate(numerator, terms, cap), order, parity, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +317,7 @@ def _bareiss(mat: list[list[list[int]]]) -> list[int]:
                     continue
                 num = poly_mul(a, pivot) if a else []
                 if b and c:
-                    num = [x - y for x, y in zip_longest(num, poly_mul(b, c), fillvalue=0)]
+                    num = shifted_sum(num, poly_mul(b, c), sign=-1)
                 num = trim(num)
                 row[j] = _exact_quotient(num, prev) if num else []
             row[r] = []
@@ -367,8 +343,7 @@ def det_direct(m: int, order: int, q: Optional[int] = None) -> ZSeries:
     if q is not None:
         for i in range(m):
             mat[i][q - 1] = (1,) if i == 0 else ()
-    det = _bareiss(mat)
-    return ZSeries(tuple((det + [0] * (order + 1))[: order + 1]))
+    return place(_bareiss(mat), order)
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +392,7 @@ def solve_system(direction: Direction, h: int, order: int) -> list[ZSeries]:
     if h < 0:
         raise ValueError("h must be nonnegative")
     m = h + 1
-    pad = (0,) * (order + 1)
-    mat = [[ZSeries((p + pad)[: order + 1]) for p in row] for row in _system_matrix(direction, m)]
+    mat = [[place(p, order) for p in row] for row in _system_matrix(direction, m)]
     rhs = [ZSeries.one(order)] + [ZSeries.zero(order)] * (m - 1)
 
     for r in range(m):

@@ -167,6 +167,23 @@ class TestBudget:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["triangle", "--n", "abc"],
+        ["triangle", "--n", "3", "--height", "abc"],
+        ["series", "--level", "abc", "--order", "4"],
+        ["series", "--level", "0", "--order", "abc"],
+        ["area", "--nmax", "abc"],
+        ["verify", "--suite", "area", "--nmax", "abc"],
+    ])
+    def test_non_integer_names_the_flag(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        flag = argv[argv.index("abc") - 1]
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be a nonnegative integer, got 'abc'" in err
+        assert "_nonneg" not in err
+
     @pytest.mark.parametrize("exc", [ValueError, ConsistencyError])
     def test_internal_error_is_exit3(self, capsys, monkeypatch, exc):
         def broken():
@@ -249,6 +266,25 @@ class TestSuiteRegistry:
         code, out = run(capsys, "verify", "--suite", "all", "--format", "json")
         assert code == 0
         assert out == (PERFBENCH / "verify_all.json").read_text()
+
+    @pytest.mark.parametrize("fmt, sep", [("text", ": "), ("csv", ",")])
+    def test_verify_all_lines_match_reference(self, capsys, monkeypatch, fmt, sep):
+        # the text and csv reports carry the reference json's checks and notes
+        monkeypatch.delenv("DEUTSCH_BUDGET", raising=False)
+        doc = json.loads((PERFBENCH / "verify_all.json").read_text())
+        expected = []
+        for suite in doc["suites"]:
+            for check in suite["checks"]:
+                fields = ["PASS" if check["passed"] else "FAIL", suite["suite"], check["name"]]
+                if check["detail"] and not check["passed"]:
+                    fields.append(check["detail"])
+                expected.append(sep.join(fields))
+            if suite["notes"]:
+                expected.append(f"# {suite['suite']}: documented deviations")
+                expected.extend(f"#   {note}" for note in suite["notes"])
+        code, out = run(capsys, "verify", "--suite", "all", "--format", fmt)
+        assert code == 0
+        assert out == "".join(line + "\n" for line in expected)
 
     def test_suite_choices_come_from_registry(self):
         sub = next(

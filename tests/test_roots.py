@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from deutsch_paths import strip
+from deutsch_paths import roots, strip
 from deutsch_paths.roots import (
     root_set,
     t_of_z,
@@ -13,6 +13,7 @@ from deutsch_paths.roots import (
     verify_factorizations,
     verify_g_numeric,
 )
+from deutsch_paths.series import ZSeries
 
 T_GRID = [round(0.05 * k, 2) for k in range(1, 7)]
 
@@ -124,3 +125,15 @@ class TestGNumeric:
     def test_level_cap(self):
         with pytest.raises(ValueError):
             verify_g_numeric(13, 10, 0.1)
+
+    def test_g0_reads_the_rl_route(self, monkeypatch):
+        # every level, g_0 included, is checked on the right-to-left route
+        real = roots.stabilized
+
+        def wrong_at_level0(direction, level, order):
+            series = real(direction, level, order)
+            return series + ZSeries.one(order) if level == 0 else series
+
+        monkeypatch.setattr(roots, "stabilized", wrong_at_level0)
+        assert not verify_g_numeric(0, 24, 0.1).passed
+        assert verify_g_numeric(1, 24, 0.1).passed

@@ -1,6 +1,6 @@
 """Series engine: exact arithmetic, inversion, and coefficient extraction."""
 
-from itertools import zip_longest
+from itertools import count, zip_longest
 from math import comb
 
 import pytest
@@ -12,6 +12,9 @@ from deutsch_paths.series import (
     ZSeries,
     binomial_diagonal,
     coeff_x,
+    place,
+    poly_mul,
+    shifted_sum,
     t_series,
     zseries_of,
 )
@@ -43,6 +46,67 @@ class TestZSeriesArithmetic:
     def test_shift_truncates(self):
         assert zs(1, 2, 3).shift(1) == zs(0, 1, 2)
         assert zs(1, 2, 3).shift(5) == ZSeries.zero(2)
+
+
+def schoolbook(u, v):
+    """The untruncated product, every pair of coefficients multiplied."""
+    out = [0] * (len(u) + len(v) - 1) if u and v else []
+    for i in range(len(u)):
+        for j in range(len(v)):
+            out[i + j] += u[i] * v[j]
+    return out
+
+
+def dense_sum(u, v, shift, sign, cap):
+    """u + sign x^shift v, coefficient by coefficient, then truncated."""
+    out = [0] * max(len(u), len(v) + shift)
+    for k, c in enumerate(u):
+        out[k] += c
+    for k, c in enumerate(v):
+        out[k + shift] += sign * c
+    return out if cap is None else out[: cap + 1]
+
+
+# short lists with zeros in them, the empty list and all-zero lists included
+coeff_lists = st.lists(st.integers(-6, 6) | st.just(0), max_size=9)
+caps = st.none() | st.integers(0, 20)
+
+
+class TestKernel:
+    @given(coeff_lists, coeff_lists, caps)
+    def test_poly_mul_matches_schoolbook(self, u, v, cap):
+        full = schoolbook(u, v)
+        assert poly_mul(u, v) == full
+        assert poly_mul(u, v, cap) == (full if cap is None else full[: cap + 1])
+
+    def test_poly_mul_edges(self):
+        assert poly_mul([], [1, 2]) == poly_mul([1, 2], []) == []
+        assert poly_mul([0, 0], [1, 2]) == [0, 0, 0]
+        assert poly_mul([1, 1], [1, 1], 0) == [1]
+        assert poly_mul([1, 1], [1, 1], 1) == [1, 2]
+        assert poly_mul([1, 1], [1, 1], 5) == [1, 2, 1]
+
+    @given(coeff_lists, coeff_lists, st.integers(0, 3), st.sampled_from([1, -1]), caps)
+    def test_shifted_sum_matches_dense(self, u, v, shift, sign, cap):
+        assert shifted_sum(u, v, shift, sign, cap) == dense_sum(u, v, shift, sign, cap)
+
+    def test_shifted_sum_leaves_operands(self):
+        u, v = [1, 2], [3]
+        assert shifted_sum(u, v, 2, -1) == [1, 2, -3]
+        assert (u, v) == ([1, 2], [3])
+
+    @given(coeff_lists, st.integers(0, 12), st.integers(0, 15), st.sampled_from([1, 2]))
+    def test_place_matches_dense(self, coeffs, order, shift, stride):
+        expected = [0] * (order + 1)
+        for k, c in enumerate(coeffs):
+            if shift + stride * k <= order:
+                expected[shift + stride * k] = c
+        assert place(coeffs, order, shift, stride) == ZSeries(tuple(expected))
+
+    def test_place_takes_only_what_fits(self):
+        assert place(count(1), 5, 1, 2) == zs(0, 1, 0, 2, 0, 3)
+        assert place([7], 3, 4, 2) == ZSeries.zero(3)
+        assert place([7, 8], 2, 3) == ZSeries.zero(2)
 
 
 class TestInverse:
