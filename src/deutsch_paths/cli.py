@@ -33,10 +33,19 @@ def _render_json(doc: dict) -> str:
 
 
 def _render_rows(rows: list[list[int]], fmt: str, doc: dict) -> list[str]:
-    if fmt == "json":
-        return [_render_json(doc)]
-    sep = "," if fmt == "csv" else " "
-    return [sep.join(str(v) for v in row) for row in rows]
+    """The output lines, exact decimals of any length: the int-to-str digit
+    limit (Python >= 3.10.7) still guards argv, and is lifted only here."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            return [_render_json(doc)]
+        sep = "," if fmt == "csv" else " "
+        return [sep.join(str(v) for v in row) for row in rows]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _nonneg(value: str) -> int:

@@ -8,12 +8,10 @@ where g_1 = z/(1-t)^3 is forced by the mu-closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .errors import ConsistencyError
-from .series import (IntPoly, TRational, ZSeries, binomial_diagonal, coeff_x, poly_mul,
-                     shifted_sum, zseries_of)
+from .series import IntPoly, TRational, ZSeries, binomial_diagonal, coeff_x, poly_mul, shifted_sum
 
 
 def binom(n: int, k: int) -> int:
@@ -61,22 +59,16 @@ def f_closed(k: int) -> TRational:
     return TRational(IntPoly((1,)), pow1t=k + 1, zshift=k)
 
 
-@dataclass(frozen=True)
-class GClosedForm:
-    """Closed form of an RL generating function as a sum of z^p-shifted
-    rational pieces."""
-
-    summands: tuple[tuple[int, TRational], ...]
-
-    def to_series(self, order: int) -> ZSeries:
-        return ZSeries(tuple(self.coefficient(n) for n in range(order + 1)))
+class GClosedForm(tuple[TRational, ...]):
+    """An RL generating function as a tuple of rational pieces, each carrying
+    its own z^p prefactor (`TRational.zshift`); every p has the parity of
+    the level.  `coefficient` reads one coefficient of their sum."""
 
     def coefficient(self, n: int) -> int:
-        total = 0
-        for zshift, piece in self.summands:
-            if n >= zshift and (n - zshift) % 2 == 0:
-                total += coeff_x(piece, (n - zshift) // 2)
-        return total
+        """[z^n] of the sum: zero for n of the other parity."""
+        if (n - self[0].zshift) % 2:
+            return 0
+        return sum(coeff_x(g.drop_zshift(), (n - g.zshift) // 2) for g in self if g.zshift <= n)
 
 
 def g_closed(i: int) -> GClosedForm:
@@ -90,13 +82,13 @@ def g_closed(i: int) -> GClosedForm:
     if i < 0:
         raise ValueError("level must be nonnegative")
     if i == 0:
-        return GClosedForm(((0, f_closed(0).drop_zshift()),))
-    pieces: list[tuple[int, TRational]] = []
+        return GClosedForm((f_closed(0),))
+    pieces: list[TRational] = []
     for k in range(i // 2 + 1):
         numer = IntPoly((binom(i - 1 - k, k), binom(i - 1 - k, k - 1)))
         if not numer.is_zero():
-            pieces.append((i - 2 * k, TRational(numer, pow1t=2 * i + 1 - 3 * k)))
-    return GClosedForm(tuple(pieces))
+            pieces.append(TRational(numer, pow1t=2 * i + 1 - 3 * k, zshift=i - 2 * k))
+    return GClosedForm(pieces)
 
 
 def count_rl_closed(n: int, i: int) -> int:
@@ -144,8 +136,8 @@ def area_convolution(order: int) -> ZSeries:
 
     Each product of f_i = z^i/(1-t)^(i+1) with a piece of g_i is one rational
     piece z^p numer(t)/((1-t)^a (1-3t)^b), so the pieces with equal (p, a, b)
-    add their numerators, and the pieces with p <= order (O(order) of them
-    after merging) are expanded by zseries_of, one coeff_x per coefficient.
+    add their numerators, and each piece with p <= order (O(order) of them
+    after merging) adds one coeff_x per coefficient into one list.
     The route starts from f_closed and g_closed, never from area_gf, which it
     checks.
     """
@@ -154,15 +146,15 @@ def area_convolution(order: int) -> ZSeries:
     merged: dict[tuple[int, int, int], list[int]] = {}
     for i in range(1, order + 1):
         f = f_closed(i)
-        for zshift, piece in g_closed(i).summands:
-            p = f.zshift + zshift
+        for piece in g_closed(i):
+            p = f.zshift + piece.zshift
             if p > order:
                 continue
             key = (p, f.pow1t + piece.pow1t, f.pow13t + piece.pow13t)
             term = [i * c for c in poly_mul(f.numer.coeffs, piece.numer.coeffs)]
             merged[key] = shifted_sum(merged.get(key, []), term)
-    return sum(
-        (zseries_of(TRational(IntPoly(tuple(numer)), a, b, zshift=p), order)
-         for (p, a, b), numer in merged.items()),
-        ZSeries.zero(order),
-    )
+    total = [0] * (order + 1)
+    for (p, a, b), numer in merged.items():
+        base = TRational(IntPoly(tuple(numer)), a, b)
+        total[p::2] = [c + coeff_x(base, k) for k, c in enumerate(total[p::2])]
+    return ZSeries(tuple(total))

@@ -132,7 +132,10 @@ def divide(num: Sequence[int], den: Sequence[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class ZSeries:
-    """Power series in z truncated (inclusively) at an explicit order.
+    """Power series in z truncated (inclusively) at an explicit order: the
+    value every exact route returns.  The routes compute on coefficient
+    lists (`poly_mul`, `shifted_sum`, `divide`, `place`); the operators here
+    are the reference algebra the tests check them against.
 
     Mixing orders is an error by design: silent re-truncation is the classic
     source of wrong coefficients.
@@ -200,9 +203,6 @@ class ZSeries:
     def inverse(self) -> "ZSeries":
         """Multiplicative inverse; requires constant coefficient +-1."""
         return ZSeries.one(self.order) / self
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
 
     def eval_float(self, z: float) -> float:
         acc = 0.0

@@ -10,6 +10,8 @@ The Cramer route computes in x = z^2: the determinants d_m and the terms
 a_n are polynomials in x, and b_n is z^(n mod 2) times one, so every
 quotient is z^(level mod 2) times a series in x.  It streams, multiplies and
 divides integer coefficient lists in x and builds one ZSeries at the end.
+The banded solve and the direct determinants compute on coefficient lists
+in z too: a ZSeries is only the value a route returns.
 The RL numerator is two products: b_n = b_{n-2} + z b_{n-3} folds the
 cofactor expansion's four.
 """
@@ -141,7 +143,10 @@ def _terms(wanted: set[tuple[str, int]], cap: int) -> dict[tuple[str, int], list
 
 def _cap(order: int, parity: int) -> int:
     """The top power of x a series of this parity needs up to z^order; at
-    least 0, so the determinants keep their constant term."""
+    least 0, so the determinants keep their constant term.  Every Cramer
+    route asks for it before any work, so it rejects a negative order."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     return max(order - parity, 0) // 2
 
 
@@ -212,16 +217,14 @@ def sequence_terms(name: str, n: int, order: int) -> list[ZSeries]:
 
 def seq_a(n: int, order: int) -> ZSeries:
     """Coefficient of X^n in 1/(1 - X + z^2 X^3); zero series for n < 0."""
-    if n < 0:
-        return ZSeries.zero(order)
-    return sequence_terms("a", n, order)[n]
+    terms = sequence_terms("a", n, order)  # empty for n < 0
+    return terms[n] if n >= 0 else ZSeries.zero(order)
 
 
 def seq_b(n: int, order: int) -> ZSeries:
     """Coefficient of Y^n in 1/(1 - Y^2 - z Y^3); zero series for n < 0."""
-    if n < 0:
-        return ZSeries.zero(order)
-    return sequence_terms("b", n, order)[n]
+    terms = sequence_terms("b", n, order)  # empty for n < 0
+    return terms[n] if n >= 0 else ZSeries.zero(order)
 
 
 def det_d(m: int, order: int) -> ZSeries:
@@ -242,9 +245,9 @@ def delta(m: int, q: int, order: int) -> ZSeries:
     """
     if not 1 <= q <= m:
         raise ValueError(f"need 1 <= q <= m, got q={q}, m={m}")
-    numerator = _numerator(Direction.RL, q - 1, m)
     parity = (q - 1) % 2
     cap = _cap(order, parity)
+    numerator = _numerator(Direction.RL, q - 1, m)
     terms = _terms({f for _, fs in numerator for f in fs}, cap)
     return place(_evaluate(numerator, terms, cap), order, parity, 2)
 
@@ -257,20 +260,9 @@ def _system_matrix(direction: Direction, m: int) -> list[list[tuple[int, ...]]]:
     """The m x m system matrix over Z[z], as coefficient tuples.  LR has 1 on
     the diagonal, -z on the subdiagonal and at every odd offset above the
     diagonal; RL is its transpose."""
-    mat = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            if i == j:
-                row.append((1,))
-            elif j == i - 1 or (j > i and (j - i) % 2 == 1):
-                row.append((0, -1))
-            else:
-                row.append(())
-        mat.append(row)
-    if direction is Direction.RL:
-        mat = [list(row) for row in zip(*mat)]
-    return mat
+    lr = [[(1,) if i == j else (0, -1) if j == i - 1 or (j > i and (j - i) % 2 == 1) else ()
+           for j in range(m)] for i in range(m)]
+    return lr if direction is Direction.LR else [list(row) for row in zip(*lr)]
 
 
 def _exact_quotient(num: list[int], den: list[int]) -> list[int]:
@@ -339,6 +331,8 @@ def det_direct(m: int, order: int, q: Optional[int] = None) -> ZSeries:
         raise ValueError("m must be nonnegative")
     if q is not None and not 1 <= q <= m:
         raise ValueError(f"need 1 <= q <= m, got q={q}")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     mat = _system_matrix(Direction.LR if q is None else Direction.RL, m)
     if q is not None:
         for i in range(m):
@@ -386,32 +380,34 @@ def stabilized(direction: Direction, level: int, order: int) -> ZSeries:
 def solve_system(direction: Direction, h: int, order: int) -> list[ZSeries]:
     """Solve the (h+1)x(h+1) banded system directly over truncated series.
 
-    Returns the full vector (f_0..f_h) or (g_0..g_h); every pivot has
-    constant term 1, so elimination never leaves the integers.
+    Returns the full vector (f_0..f_h) or (g_0..g_h), eliminating on
+    coefficient lists of length order+1; every pivot has constant term 1,
+    so its inverse (`divide`) and the elimination never leave the integers.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
-    m = h + 1
-    mat = [[place(p, order) for p in row] for row in _system_matrix(direction, m)]
-    rhs = [ZSeries.one(order)] + [ZSeries.zero(order)] * (m - 1)
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    m, n = h + 1, order + 1
+    one = [1] + [0] * order
+    # the system augmented by its right-hand side e_1 as column m
+    mat = [[(list(p) + [0] * n)[:n] for p in row] + [one if i == 0 else [0] * n]
+           for i, row in enumerate(_system_matrix(direction, m))]
+
+    def minus_product(acc: list[int], u: list[int], v: list[int]) -> list[int]:
+        return shifted_sum(acc, poly_mul(u, v, order), sign=-1, cap=order)
 
     for r in range(m):
-        if mat[r][r].coeffs[0] not in (1, -1):
+        if mat[r][r][0] not in (1, -1):
             raise ConsistencyError("elimination pivot lost its unit constant term")
-        pinv = mat[r][r].inverse()
-        mat[r] = [e * pinv for e in mat[r]]
-        rhs[r] = rhs[r] * pinv
+        pinv = divide(one, mat[r][r])
+        mat[r] = [poly_mul(e, pinv, order) for e in mat[r]]
         for i in range(r + 1, m):
-            factor = mat[i][r]
-            if factor.is_zero():
-                continue
-            mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-            rhs[i] = rhs[i] - factor * rhs[r]
-    sol = [ZSeries.zero(order)] * m
-    for i in range(m - 1, -1, -1):
-        acc = rhs[i]
+            if any(factor := mat[i][r]):
+                mat[i] = [minus_product(a, factor, b) for a, b in zip(mat[i], mat[r])]
+    # back substitution, each solution entry replacing its row's column m
+    for i in range(m - 2, -1, -1):
         for j in range(i + 1, m):
-            if not mat[i][j].is_zero():
-                acc = acc - mat[i][j] * sol[j]
-        sol[i] = acc
-    return sol
+            if any(mat[i][j]):
+                mat[i][m] = minus_product(mat[i][m], mat[i][j], mat[j][m])
+    return [ZSeries(tuple(row[m])) for row in mat]

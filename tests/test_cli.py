@@ -8,16 +8,17 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from deutsch_paths import verify
-from deutsch_paths.cli import build_parser, main
+from deutsch_paths.cli import FORMATS, build_parser, main
 from deutsch_paths.errors import ConsistencyError
 from deutsch_paths.series import ZSeries
+from deutsch_paths.strip import bounded_f
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -222,6 +223,46 @@ class TestExitCodes:
             code = proc.wait(timeout=60)
         assert code == 2
         assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+@contextmanager
+def digit_limit(digits):
+    """The interpreter's int-to-str digit limit set to `digits` (0: none),
+    restored on exit."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+class TestDigitLimit:
+    ARGV = ["series", "--level", "0", "--order", "1700", "--height", "40", "--format"]
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_long_coefficients_render(self, capsys, fmt):
+        expect = list(bounded_f(0, 40, 1700).coeffs)
+        with digit_limit(640):
+            code, out = run(capsys, *self.ARGV, fmt)
+            limit = sys.get_int_max_str_digits()
+        assert (code, limit) == (0, 640)
+        with digit_limit(0):
+            assert len(str(expect[-1])) > 640
+            if fmt == "json":
+                got = json.loads(out)["coeffs"]
+            else:
+                got = [int(v) for v in out.strip().split("," if fmt == "csv" else " ")]
+        assert got == expect
+
+    def test_argv_stays_guarded(self, capsys):
+        with digit_limit(640):
+            with pytest.raises(SystemExit) as exc:
+                main(["series", "--level", "0", "--order", "1" * 700])
+            assert sys.get_int_max_str_digits() == 640
+        assert exc.value.code == 2
+        assert "must be a nonnegative integer" in capsys.readouterr().err
 
 
 class TestParserReuse:

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from deutsch_paths import closed, series
 from deutsch_paths.closed import (
-    GClosedForm,
     area_coeff,
     area_convolution,
     area_gf,
@@ -22,11 +21,31 @@ from deutsch_paths.series import IntPoly, TRational, ZSeries, coeff_x, zseries_o
 from deutsch_paths.strip import Direction, dp_counts, stabilized
 
 
+def reference_coefficient(summands, n):
+    """[z^n] of a sum of (zshift, piece) pairs, each piece without its own
+    z prefactor, placing every piece by its own shift and parity test."""
+    total = 0
+    for zshift, piece in summands:
+        if n >= zshift and (n - zshift) % 2 == 0:
+            total += coeff_x(piece, (n - zshift) // 2)
+    return total
+
+
+def pairs(g):
+    """g_closed's pieces as (zshift, piece without its z prefactor) pairs."""
+    return [(piece.zshift, piece.drop_zshift()) for piece in g]
+
+
+def g_series(i, order):
+    """g_i as a truncated series, one `coefficient` per z power."""
+    return ZSeries(tuple(g_closed(i).coefficient(n) for n in range(order + 1)))
+
+
 def reference_g_pieces(i):
-    """g_i as two loops, the t-numerator pieces and then the constant ones,
-    so that one z-shift can carry two pieces."""
+    """g_i as (zshift, piece) pairs from two loops, the t-numerator pieces
+    and then the constant ones, so that one z-shift can carry two pieces."""
     if i == 0:
-        return GClosedForm(((0, f_closed(0).drop_zshift()),))
+        return [(0, f_closed(0).drop_zshift())]
     pieces = []
     for k in range(1, i // 2 + 1):
         c = binom(i - 1 - k, k - 1)
@@ -36,7 +55,7 @@ def reference_g_pieces(i):
         c = binom(i - 1 - k, k)
         if c:
             pieces.append((i - 2 * k, TRational(IntPoly((c,)), pow1t=2 * i + 1 - 3 * k)))
-    return GClosedForm(tuple(pieces))
+    return pieces
 
 
 def reference_area_coeff(n):
@@ -54,9 +73,10 @@ def reference_area_convolution(order):
     acc = ZSeries.zero(order)
     for i in range(1, order + 1):
         fi = zseries_of(f_closed(i), order)
-        if fi.is_zero():
+        if not any(fi.coeffs):
             continue
-        prod = fi * g_closed(i).to_series(order)
+        prod = fi * ZSeries(tuple(reference_coefficient(pairs(g_closed(i)), n)
+                                  for n in range(order + 1)))
         acc = acc + ZSeries(tuple(i * c for c in prod.coeffs))
     return acc
 
@@ -120,13 +140,15 @@ class TestFClosed:
 class TestGClosed:
     def test_g1_is_single_piece(self):
         g = g_closed(1)
-        assert g.to_series(9).coeffs == (0, 1, 0, 3, 0, 12, 0, 55, 0, 273)
+        assert len(g) == 1
+        assert zseries_of(g[0], 9).coeffs == (0, 1, 0, 3, 0, 12, 0, 55, 0, 273)
+        assert g_series(1, 9).coeffs == (0, 1, 0, 3, 0, 12, 0, 55, 0, 273)
 
     def test_g2_split(self):
         g = g_closed(2)
         assert g.coefficient(8) == 218
         # the two pieces are z^2/(1-t)^5 and t/(1-t)^2
-        shifts = sorted(s for s, _ in g.summands)
+        shifts = sorted(piece.zshift for piece in g)
         assert shifts == [0, 2]
 
     def test_g3_z11(self):
@@ -135,20 +157,39 @@ class TestGClosed:
     def test_matches_two_loop_reference(self):
         for i in range(31):
             g, ref = g_closed(i), reference_g_pieces(i)
-            assert all(g.coefficient(n) == ref.coefficient(n) for n in range(81)), i
+            assert all(
+                g.coefficient(n) == reference_coefficient(ref, n) for n in range(81)
+            ), i
+
+    def test_pieces_are_shifted_trationals(self):
+        for i in range(40):
+            g = g_closed(i)
+            assert isinstance(g, tuple) and g
+            assert all(isinstance(piece, TRational) for piece in g)
 
     def test_one_piece_per_zshift(self):
         for i in range(40):
-            shifts = [s for s, _ in g_closed(i).summands]
+            shifts = [piece.zshift for piece in g_closed(i)]
             assert len(shifts) == len(set(shifts)), (i, shifts)
 
+    def test_zshifts_have_the_level_parity(self):
+        # `coefficient` tests the parity once, against the first piece
+        for i in range(40):
+            assert g_closed(i)[0].zshift == i
+            assert all((piece.zshift - i) % 2 == 0 for piece in g_closed(i)), i
+
+    def test_coefficient_of_other_parity_is_zero(self):
+        for i in range(13):
+            assert all(g_closed(i).coefficient(n) == 0 for n in range(i + 1, 60, 2)), i
+
     def test_g0_equals_f0(self):
-        assert g_closed(0).to_series(20) == zseries_of(f_closed(0), 20)
+        assert g_closed(0) == (f_closed(0),)
+        assert g_series(0, 20) == zseries_of(f_closed(0), 20)
 
     @pytest.mark.parametrize("i", range(9))
     def test_matches_stabilized(self, i):
         order = 14
-        assert g_closed(i).to_series(order) == stabilized(Direction.RL, i, order)
+        assert g_series(i, order) == stabilized(Direction.RL, i, order)
 
 
 class TestCountRlClosed:
@@ -160,6 +201,14 @@ class TestCountRlClosed:
 
     def test_parity_zero(self):
         assert count_rl_closed(3, 2) == 0
+
+    def test_matches_placement_by_pieces(self):
+        # the sum over pieces without a parity test per piece, against
+        # placing each piece by its own shift and parity
+        for i in range(13):
+            ref = pairs(g_closed(i))
+            for n in range(81):
+                assert count_rl_closed(n, i) == reference_coefficient(ref, n), (n, i)
 
     def test_matches_dp(self):
         table = dp_counts(Direction.RL, 30)
@@ -215,7 +264,7 @@ class TestArea:
 
     def test_convolution_small(self):
         assert area_convolution(4).coeffs == (0, 0, 1, 0, 12)
-        assert area_convolution(0).is_zero()
+        assert area_convolution(0) == ZSeries.zero(0)
 
     def test_convolution_matches_dense_products(self):
         # a truncated series product's coefficients do not depend on the
@@ -232,8 +281,8 @@ class TestArea:
             calls += 1
             return coeff_x(f, n)
 
-        # the merged pieces are expanded by zseries_of, which calls coeff_x
-        monkeypatch.setattr(series, "coeff_x", counting)
+        # the merged pieces are expanded by one coeff_x per coefficient
+        monkeypatch.setattr(closed, "coeff_x", counting)
         area_convolution(60)
         # O(order) merged pieces times O(order) coefficients each; the dense
         # products make about 21000 calls

@@ -139,6 +139,34 @@ class RefPoly(IntPoly):
         return RefPoly(tuple(q)), RefPoly(tuple(rem))
 
 
+def reference_solve_system(direction, h, order):
+    """solve_system as it eliminated over ZSeries objects, with the series
+    operators for every product, difference and pivot inverse."""
+    m = h + 1
+    mat = [[ZSeries((tuple(p) + (0,) * (order + 1))[: order + 1]) for p in row]
+           for row in strip._system_matrix(direction, m)]
+    rhs = [ZSeries.one(order)] + [ZSeries.zero(order)] * (m - 1)
+    for r in range(m):
+        assert mat[r][r].coeffs[0] in (1, -1)
+        pinv = mat[r][r].inverse()
+        mat[r] = [e * pinv for e in mat[r]]
+        rhs[r] = rhs[r] * pinv
+        for i in range(r + 1, m):
+            factor = mat[i][r]
+            if factor == ZSeries.zero(order):
+                continue
+            mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+            rhs[i] = rhs[i] - factor * rhs[r]
+    sol = [ZSeries.zero(order)] * m
+    for i in range(m - 1, -1, -1):
+        acc = rhs[i]
+        for j in range(i + 1, m):
+            if mat[i][j] != ZSeries.zero(order):
+                acc = acc - mat[i][j] * sol[j]
+        sol[i] = acc
+    return sol
+
+
 @lru_cache(maxsize=None)
 def reference_det_bareiss(m, q=None):
     """det_direct's determinant as the fraction-free elimination over IntPoly
@@ -255,8 +283,8 @@ class TestSequences:
         assert seq_b(5, 4) == zs(0, 2, 0, 0, 0)
 
     def test_negative_index_zero(self):
-        assert seq_a(-1, 3).is_zero()
-        assert seq_b(-3, 3).is_zero()
+        assert seq_a(-1, 3) == ZSeries.zero(3)
+        assert seq_b(-3, 3) == ZSeries.zero(3)
 
     def test_d_equals_shifted_a(self):
         assert all(det_d(m, 12) == seq_a(m + 1, 12) for m in range(31))
@@ -488,6 +516,14 @@ class TestStabilized:
 
 
 class TestSolveSystem:
+    @pytest.mark.parametrize("order", [0, 1, 7, 20])
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_matches_series_elimination(self, direction, order):
+        for h in range(9):
+            assert solve_system(direction, h, order) == reference_solve_system(
+                direction, h, order
+            ), h
+
     def test_lr_h1(self):
         sol = solve_system(Direction.LR, 1, 8)
         assert sol[0] == zs(1, 0, 1, 0, 1, 0, 1, 0, 1)
@@ -502,3 +538,30 @@ class TestSolveSystem:
         table = dp_counts(Direction.LR, 8, height=7)
         sol = solve_system(Direction.LR, 7, 8)
         assert sol[0].coeffs == tuple(table.count(n, 0) for n in range(9))
+
+
+NEGATIVE_ORDER_CALLS = {
+    "bounded_f": lambda: bounded_f(0, 2, -1),
+    "bounded_g": lambda: bounded_g(1, 2, -1),
+    "det_direct": lambda: det_direct(3, -1),
+    "det_direct_q": lambda: det_direct(3, -1, q=2),
+    "solve_system": lambda: solve_system(Direction.RL, 2, -1),
+    "sequence_terms": lambda: sequence_terms("b", 4, -1),
+    "det_d": lambda: det_d(3, -1),
+    "delta": lambda: delta(3, 2, -1),
+    "seq_a": lambda: seq_a(3, -1),
+    "seq_b": lambda: seq_b(3, -1),
+    "seq_a_negative_index": lambda: seq_a(-1, -1),
+    "seq_b_negative_index": lambda: seq_b(-2, -1),
+}
+
+
+@pytest.mark.parametrize("name", NEGATIVE_ORDER_CALLS)
+def test_negative_order_fails_before_any_work(monkeypatch, name):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{name} started work on a negative order")
+
+    for helper in ("_sequence", "_terms", "_system_matrix", "_bareiss", "poly_mul", "divide"):
+        monkeypatch.setattr(strip, helper, no_work)
+    with pytest.raises(ValueError, match="^order must be nonnegative$"):
+        NEGATIVE_ORDER_CALLS[name]()
