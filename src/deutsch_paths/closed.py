@@ -95,8 +95,6 @@ def count_rl_closed(n: int, i: int) -> int:
     """RL paths of length n ending at level i, from the closed form."""
     if n < 0 or i < 0:
         raise ValueError("n and i must be nonnegative")
-    if (n - i) % 2 != 0:
-        return 0
     return g_closed(i).coefficient(n)
 
 
