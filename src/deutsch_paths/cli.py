@@ -7,7 +7,10 @@ internal error (a bug; the traceback goes to stderr).  Each command renders
 its whole output before any of it is written.  The `verify --suite` names and
 their order come from `verify.SUITES`.  All integer output is exact decimal;
 json documents are rendered canonically (sorted keys, fixed separators) so
-that parse + re-render is byte-identical.
+that parse + re-render is byte-identical.  `triangle` renders in time linear
+in its output: it asks `dp_counts` to lift its rows to Decimal once counts
+pass about 200 digits (CPython's int-to-str is quadratic in the digit count),
+and splices those rows into its json document from their str.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import json
 import os
 import sys
 import traceback
+from collections.abc import Sequence
 
 from . import closed, oracle, verify
 from .errors import UsageError
@@ -29,10 +33,25 @@ FORMATS = ("text", "csv", "json")
 
 
 def _render_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    """`doc`, rendered canonically.  Its "rows", a key that sorts after all
+    of its others, may hold Decimals from some row on (a lifted `dp_counts`
+    table).  json.dumps cannot render those, so they are spliced in from the
+    str of their cells, in time linear in their length; the int rows before
+    them still go through json.dumps, which is faster on ints."""
+    rows = doc.get("rows", ())
+    lifted = next((i for i, row in enumerate(rows) if not isinstance(row[0], int)), len(rows))
+    if lifted == len(rows):
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    head = json.dumps({**doc, "rows": rows[:lifted]}, sort_keys=True, separators=(",", ":"))
+    pieces = [head[:-2]]  # up to the "]}" that closes the int rows and doc
+    for i in range(lifted, len(rows)):
+        # a generator, not map(str, ...): CPython 3.11 specialises str(v)
+        pieces += (",[" if i else "[", ",".join(str(v) for v in rows[i]), "]")
+    pieces.append("]}")
+    return "".join(pieces)
 
 
-def _render_rows(rows: list[list[int]], fmt: str, doc: dict) -> list[str]:
+def _render_rows(rows: Sequence[Sequence[int]], fmt: str, doc: dict) -> list[str]:
     """The output lines, exact decimals of any length: the int-to-str digit
     limit (Python >= 3.10.7) still guards argv, and is lifted only here."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -73,17 +92,11 @@ def _budget() -> int:
 
 def cmd_triangle(args: argparse.Namespace) -> tuple[int, list[str]]:
     direction = Direction(args.direction)
-    table = dp_counts(direction, args.n, height=args.height)
-    rows = [list(row) for row in table.rows]
+    table = dp_counts(direction, args.n, height=args.height, lift=True)
     return 0, _render_rows(
-        rows,
+        table.rows,
         args.format,
-        {
-            "direction": direction.value,
-            "n": args.n,
-            "height": args.height,
-            "rows": rows,
-        },
+        {"direction": direction.value, "n": args.n, "height": args.height, "rows": table.rows},
     )
 
 
@@ -96,7 +109,7 @@ def cmd_series(args: argparse.Namespace) -> tuple[int, list[str]]:
         series = fn(args.level, args.height, args.order)
     else:
         series = stabilized(direction, args.level, args.order)
-    coeffs = list(series.coeffs)
+    coeffs = series.coeffs
     return 0, _render_rows(
         [coeffs],
         args.format,

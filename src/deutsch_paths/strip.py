@@ -18,6 +18,7 @@ cofactor expansion's four.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
 from enum import Enum
 from itertools import count
@@ -25,6 +26,10 @@ from typing import Iterator, Optional
 
 from .errors import ConsistencyError
 from .series import ZSeries, divide, long_division, place, poly_mul, shifted_sum, trim
+
+
+# a lifted dp_counts turns Decimal once a row sums past this (about 200 digits)
+LIFT_BOUND = 10**200
 
 
 class Direction(Enum):
@@ -38,6 +43,7 @@ class CountTable:
 
     direction: Direction
     height: Optional[int]  # None = unbounded
+    # ints; a table dp_counts lifted holds Decimals from some row on
     rows: tuple[tuple[int, ...], ...]
 
     def count(self, n: int, k: int) -> int:
@@ -51,7 +57,9 @@ class CountTable:
         return row[k] if 0 <= k < len(row) else 0
 
 
-def dp_counts(direction: Direction, n_max: int, height: Optional[int] = None) -> CountTable:
+def dp_counts(
+    direction: Direction, n_max: int, height: Optional[int] = None, lift: bool = False
+) -> CountTable:
     """Exact counts of paths from (0,0) to (n,k) staying within [0, h].
 
     Unbounded LR paths never exceed level n_max, but unbounded RL paths may
@@ -66,6 +74,15 @@ def dp_counts(direction: Direction, n_max: int, height: Optional[int] = None) ->
     row costs O(ladder) and the table O(n_max * ladder).  RL steps are the
     mirror image of LR steps (level k <-> ladder - k), so RL runs the same row
     update on the mirrored ladder, and its suffix sums are prefix sums.
+
+    With `lift`, the working row becomes exact `decimal.Decimal`s at the
+    first row whose predecessor, but for its ladder cell 0, sums past
+    LIFT_BOUND (the two suffix sums a row update ends with), and every later
+    cell is a Decimal sum: the rows from there on hold Decimals, equal to
+    the ints they stand for.  That is for rendering: CPython's int-to-str is quadratic in the
+    digit count and Decimal's str is linear, while smaller ints add and print
+    faster than Decimals.  The additions run in a context of this function's
+    own, exact at any size, never in the caller's.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -83,19 +100,42 @@ def dp_counts(direction: Direction, n_max: int, height: Optional[int] = None) ->
     prev = [0] * (ladder + 1)
     prev[ladder if mirror else 0] = 1
     rows = [(1,)]
-    for n in range(1, n_max + 1):
-        cur = [0] * (ladder + 1)
-        # suffix sums of prev above level k, over the parity class of k
-        # (same) and over the other class (other)
-        other = same = 0
-        for k in range(ladder, 0, -1):
-            cur[k] = prev[k - 1] + other
-            other, same = same + prev[k], other
-        cur[0] = other
-        prev = cur
-        width = (report if mirror else min(n, report)) + 1
-        rows.append(tuple(cur[ladder::-1][:width] if mirror else cur[:width]))
+    with ExitStack() as exact:
+        for n in range(1, n_max + 1):
+            cur = [0] * (ladder + 1)
+            # suffix sums of prev above level k, over the parity class of k
+            # (same) and over the other class (other)
+            other = same = 0
+            for k in range(ladder, 0, -1):
+                cur[k] = prev[k - 1] + other
+                other, same = same + prev[k], other
+            cur[0] = other
+            if lift and other + same > LIFT_BOUND:
+                cur = _lift(cur, exact)
+                lift = False
+            prev = cur
+            width = (report if mirror else min(n, report)) + 1
+            rows.append(tuple(cur[ladder::-1][:width] if mirror else cur[:width]))
     return CountTable(direction, height, tuple(rows))
+
+
+def _lift(row: list[int], exact: ExitStack) -> list:
+    """`row` as Decimals, with an exact Decimal context entered on `exact`
+    for the additions that follow.  decimal is imported here, on the one
+    path that needs it."""
+    import decimal
+
+    exact.enter_context(
+        decimal.localcontext(
+            decimal.Context(
+                prec=decimal.MAX_PREC,
+                Emax=decimal.MAX_EMAX,
+                Emin=decimal.MIN_EMIN,
+                traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
+            )
+        )
+    )
+    return [decimal.Decimal(v) for v in row]
 
 
 # ---------------------------------------------------------------------------

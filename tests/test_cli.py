@@ -1,6 +1,7 @@
 """CLI surface: flags, formats, exit codes, round-tripping."""
 
 import argparse
+import decimal
 import importlib
 import importlib.util
 import io
@@ -14,11 +15,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deutsch_paths import verify
+from deutsch_paths import strip, verify
 from deutsch_paths.cli import FORMATS, build_parser, main
 from deutsch_paths.errors import ConsistencyError
 from deutsch_paths.series import ZSeries
-from deutsch_paths.strip import bounded_f
+from deutsch_paths.strip import Direction, bounded_f, dp_counts
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -27,6 +28,39 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def triangle_output(direction, n, height, fmt):
+    argv = ["triangle", "--direction", direction, "--n", str(n), "--format", fmt]
+    if height is not None:
+        argv += ["--height", str(height)]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def int_rendering(direction, n, height, fmt):
+    """`triangle` output as rendered from the int table: json.dumps of the
+    whole document, or the str of each cell joined."""
+    rows = [list(row) for row in dp_counts(Direction(direction), n, height=height).rows]
+    if fmt == "json":
+        doc = {"direction": direction, "n": n, "height": height, "rows": rows}
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    sep = "," if fmt == "csv" else " "
+    return "".join(sep.join(str(v) for v in row) + "\n" for row in rows)
+
+
+def assert_same_text(got, want):
+    """got == want, a mismatch reported at its first differing offset:
+    pytest's own diff of two long strings takes time quadratic in them."""
+    if got != want:
+        diffs = (i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+        at = next(diffs, min(len(got), len(want)))
+        pytest.fail(
+            f"texts of lengths {len(got)}, {len(want)} differ at offset {at}: "
+            f"{got[max(at - 20, 0):at + 20]!r} != {want[max(at - 20, 0):at + 20]!r}"
+        )
 
 
 class TestTriangle:
@@ -44,6 +78,49 @@ class TestTriangle:
         with pytest.raises(SystemExit) as exc:
             main(["triangle", "--n", "-1"])
         assert exc.value.code == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        direction=st.sampled_from(["lr", "rl"]),
+        n=st.integers(0, 60),
+        height=st.none() | st.integers(0, 8),
+        fmt=st.sampled_from(FORMATS),
+    )
+    def test_lifted_rows_render_as_ints(self, direction, n, height, fmt):
+        # a bound that tables of height >= 2 cross mid-way
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(strip, "LIFT_BOUND", 10**6)
+            assert_same_text(
+                triangle_output(direction, n, height, fmt),
+                int_rendering(direction, n, height, fmt),
+            )
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_rendering_at_the_real_lift_bound(self, fmt):
+        table = dp_counts(Direction.LR, 700, height=40, lift=True)
+        assert isinstance(table.rows[-1][0], decimal.Decimal)
+        assert len(str(max(table.rows[-1]))) == 285
+        assert_same_text(triangle_output("lr", 700, 40, fmt), int_rendering("lr", 700, 40, fmt))
+
+    def test_decimal_imported_only_by_a_lift(self):
+        src = Path(importlib.util.find_spec("deutsch_paths").origin).parents[1]
+        script = (
+            "import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from deutsch_paths.cli import main\n"
+            "def imported(*argv):\n"
+            "    with redirect_stdout(io.StringIO()):\n"
+            "        assert main(list(argv)) == 0\n"
+            "    return 'decimal' in sys.modules\n"
+            "print(imported('triangle', '--n', '300', '--format', 'json'),\n"
+            "      imported('series', '--level', '0', '--order', '1700', '--height', '40'),\n"
+            "      imported('triangle', '--n', '700', '--height', '40'))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False False True\n"), proc.stderr
 
     def test_json_round_trip(self, capsys):
         code, out = run(capsys, "triangle", "--n", "3", "--format", "json")
@@ -255,6 +332,17 @@ class TestDigitLimit:
             else:
                 got = [int(v) for v in out.strip().split("," if fmt == "csv" else " ")]
         assert got == expect
+
+    def test_lifted_triangle_leaves_no_state(self, capsys):
+        ctx = decimal.getcontext()
+        before = (ctx.prec, ctx.Emax, ctx.Emin, dict(ctx.traps), dict(ctx.flags))
+        with digit_limit(640):
+            code, out = run(capsys, "triangle", "--n", "700", "--height", "40")
+            limit = sys.get_int_max_str_digits()
+        assert (code, limit) == (0, 640)
+        assert decimal.getcontext() is ctx
+        assert (ctx.prec, ctx.Emax, ctx.Emin, dict(ctx.traps), dict(ctx.flags)) == before
+        assert max(map(len, out.splitlines()[-1].split())) == 285
 
     def test_argv_stays_guarded(self, capsys):
         with digit_limit(640):

@@ -1,5 +1,6 @@
 """Strip enumeration, determinant recurrences, and the Cramer route."""
 
+import decimal
 from collections import Counter
 from functools import lru_cache
 from itertools import permutations
@@ -264,6 +265,28 @@ class TestDpCounts:
         for n_max in range(61):
             table = dp_counts(direction, n_max, height=height)
             assert table.rows == reference_dp_rows(direction, n_max, height)
+
+    @pytest.mark.parametrize("height", [None, *range(9)])
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_lift_equals_int_table(self, monkeypatch, direction, height):
+        # a bound that tables of height >= 2 cross mid-way, under a caller's
+        # context that would round any lifted sum of more than 5 digits
+        monkeypatch.setattr(strip, "LIFT_BOUND", 10**6)
+        with decimal.localcontext(prec=5) as caller:
+            for n_max in range(81):
+                table = dp_counts(direction, n_max, height=height)
+                lifted = dp_counts(direction, n_max, height=height, lift=True)
+                assert [list(map(str, row)) for row in lifted.rows] == [
+                    list(map(str, row)) for row in table.rows
+                ]
+                assert lifted.rows == table.rows
+            assert decimal.getcontext() is caller and caller.prec == 5
+        # ints up to the lift, Decimals from it on, and a lift when counts grow
+        kinds = [type(row[0]) for row in lifted.rows]
+        first = kinds.index(decimal.Decimal) if decimal.Decimal in kinds else len(kinds)
+        assert set(kinds[:first]) == {int} and set(kinds[first:]) <= {decimal.Decimal}
+        assert all(isinstance(v, type(row[0])) for row in lifted.rows for v in row)
+        assert (first < len(kinds)) == (height is None or height >= 2)
 
     def test_rl_unbounded_matches_closed_form(self):
         table = dp_counts(Direction.RL, 120)
