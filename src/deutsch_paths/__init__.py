@@ -29,6 +29,7 @@ from .strip import (
     det_d,
     det_direct,
     dp_counts,
+    dp_rows,
     seq_a,
     seq_b,
     sequence_terms,

@@ -18,17 +18,17 @@ cofactor expansion's four.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import count
-from typing import Iterator, Optional
+from typing import Callable, ContextManager, Iterator, Optional
 
 from .errors import ConsistencyError
 from .series import ZSeries, divide, long_division, place, poly_mul, shifted_sum, trim
 
 
-# a lifted dp_counts turns Decimal once a row sums past this (about 200 digits)
+# a lifted dp_rows turns Decimal once a row sums past this (about 200 digits)
 LIFT_BOUND = 10**200
 
 
@@ -60,7 +60,18 @@ class CountTable:
 def dp_counts(
     direction: Direction, n_max: int, height: Optional[int] = None, lift: bool = False
 ) -> CountTable:
-    """Exact counts of paths from (0,0) to (n,k) staying within [0, h].
+    """Exact counts of paths from (0,0) to (n,k) staying within [0, h]: the
+    rows of `dp_rows`, kept as one table."""
+    return CountTable(direction, height, tuple(dp_rows(direction, n_max, height, lift)))
+
+
+def dp_rows(
+    direction: Direction, n_max: int, height: Optional[int] = None, lift: bool = False
+) -> Iterator[tuple[int, ...]]:
+    """Row n = 0..n_max of the path counts from (0,0) to (n,k) within
+    [0, h], yielded one at a time: the generator holds O(ladder) cells,
+    whatever n_max is.  The arguments are checked at the call, before the
+    first row is asked for.
 
     Unbounded LR paths never exceed level n_max, but unbounded RL paths may
     overshoot the reported levels and come back with -1 steps, so the RL
@@ -79,10 +90,12 @@ def dp_counts(
     first row whose predecessor, but for its ladder cell 0, sums past
     LIFT_BOUND (the two suffix sums a row update ends with), and every later
     cell is a Decimal sum: the rows from there on hold Decimals, equal to
-    the ints they stand for.  That is for rendering: CPython's int-to-str is quadratic in the
-    digit count and Decimal's str is linear, while smaller ints add and print
-    faster than Decimals.  The additions run in a context of this function's
-    own, exact at any size, never in the caller's.
+    the ints they stand for.  That is for rendering: CPython's int-to-str is
+    quadratic in the digit count and Decimal's str is linear, while smaller
+    ints add and print faster than Decimals.  Each row update runs in a
+    context of this function's own, exact at any size, never in the
+    caller's; it is entered for that update only, so the caller's context
+    is its own between rows.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -96,46 +109,59 @@ def dp_counts(
         # full ladder; the unbounded table is complete for levels <= n_max
         ladder = 2 * n_max if height is None else height
         report = n_max if height is None else height
-    mirror = direction is Direction.RL
+    return _rows(direction is Direction.RL, n_max, ladder, report, lift)
+
+
+def _rows(
+    mirror: bool, n_max: int, ladder: int, report: int, lift: bool
+) -> Iterator[tuple[int, ...]]:
+    """`dp_rows`'s loop, on checked arguments."""
     prev = [0] * (ladder + 1)
     prev[ladder if mirror else 0] = 1
-    rows = [(1,)]
-    with ExitStack() as exact:
-        for n in range(1, n_max + 1):
-            cur = [0] * (ladder + 1)
-            # suffix sums of prev above level k, over the parity class of k
-            # (same) and over the other class (other)
-            other = same = 0
-            for k in range(ladder, 0, -1):
-                cur[k] = prev[k - 1] + other
-                other, same = same + prev[k], other
-            cur[0] = other
-            if lift and other + same > LIFT_BOUND:
-                cur = _lift(cur, exact)
-                lift = False
-            prev = cur
-            width = (report if mirror else min(n, report)) + 1
-            rows.append(tuple(cur[ladder::-1][:width] if mirror else cur[:width]))
-    return CountTable(direction, height, tuple(rows))
+    yield (1,)
+    exact = None  # the context a row update runs in: none until the lift
+    for n in range(1, n_max + 1):
+        if exact is None:
+            cur, total = _next_row(prev)
+        else:
+            with exact():
+                cur, total = _next_row(prev)
+        if lift and total > LIFT_BOUND:
+            cur, exact = _lift(cur)
+            lift = False
+        prev = cur
+        width = (report if mirror else min(n, report)) + 1
+        yield tuple(cur[ladder::-1][:width] if mirror else cur[:width])
 
 
-def _lift(row: list[int], exact: ExitStack) -> list:
-    """`row` as Decimals, with an exact Decimal context entered on `exact`
-    for the additions that follow.  decimal is imported here, on the one
-    path that needs it."""
+def _next_row(prev: list[int]) -> tuple[list[int], int]:
+    """The row after `prev` on the LR ladder, and the sum of `prev` but for
+    its cell 0 (the two suffix sums the update ends with)."""
+    ladder = len(prev) - 1
+    cur = [0] * (ladder + 1)
+    # suffix sums of prev above level k, over the parity class of k (same)
+    # and over the other class (other)
+    other = same = 0
+    for k in range(ladder, 0, -1):
+        cur[k] = prev[k - 1] + other
+        other, same = same + prev[k], other
+    cur[0] = other
+    return cur, other + same
+
+
+def _lift(row: list[int]) -> tuple[list, Callable[[], ContextManager]]:
+    """`row` as Decimals, and a factory of the exact Decimal context the
+    additions that follow run in.  decimal is imported here, on the one path
+    that needs it."""
     import decimal
 
-    exact.enter_context(
-        decimal.localcontext(
-            decimal.Context(
-                prec=decimal.MAX_PREC,
-                Emax=decimal.MAX_EMAX,
-                Emin=decimal.MIN_EMIN,
-                traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
-            )
-        )
+    context = decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+        traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
     )
-    return [decimal.Decimal(v) for v in row]
+    return [decimal.Decimal(v) for v in row], partial(decimal.localcontext, context)
 
 
 # ---------------------------------------------------------------------------

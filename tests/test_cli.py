@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deutsch_paths import strip, verify
+from deutsch_paths import cli, strip, verify
 from deutsch_paths.cli import FORMATS, build_parser, main
 from deutsch_paths.errors import ConsistencyError
 from deutsch_paths.series import ZSeries
@@ -61,6 +61,10 @@ def assert_same_text(got, want):
             f"texts of lengths {len(got)}, {len(want)} differ at offset {at}: "
             f"{got[max(at - 20, 0):at + 20]!r} != {want[max(at - 20, 0):at + 20]!r}"
         )
+
+
+# not plain ASCII digits, though int() takes all of them but the last
+NOT_DIGITS = ["1_0", "+5", " 7", "\u0663", "1e3"]
 
 
 class TestTriangle:
@@ -225,6 +229,14 @@ class TestBudget:
         assert (code, captured.out) == (2, "")
         assert "DEUTSCH_BUDGET" in captured.err
 
+    @pytest.mark.parametrize("raw", [*NOT_DIGITS, " +20 "])
+    def test_only_ascii_digits_are_a_budget(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("DEUTSCH_BUDGET", raw)
+        code = main(["verify", "--suite", "paper-lists"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: DEUTSCH_BUDGET must be an integer, got {raw!r}\n"
+
     def test_nmax_cannot_bypass_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("DEUTSCH_BUDGET", "10")
         assert run(capsys, "verify", "--suite", "reversal", "--nmax", "12")[0] == 2
@@ -261,6 +273,15 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert f"argument {flag}: must be a nonnegative integer, got 'abc'" in err
         assert "_nonneg" not in err
+
+    @pytest.mark.parametrize("value", NOT_DIGITS)
+    @pytest.mark.parametrize("argv", [["triangle", "--n"], ["area", "--nmax"]], ids=["n", "nmax"])
+    def test_only_ascii_digits_are_integers(self, capsys, argv, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[1]}: must be a nonnegative integer, got {value!r}" in err
 
     @pytest.mark.parametrize("exc", [ValueError, ConsistencyError])
     def test_internal_error_is_exit3(self, capsys, monkeypatch, exc):
@@ -300,6 +321,105 @@ class TestExitCodes:
             code = proc.wait(timeout=60)
         assert code == 2
         assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+def counted_rows(monkeypatch, fail_after=None):
+    """Replaces the row source of `triangle` by `dp_rows` behind a counter,
+    raising RuntimeError when asked for row `fail_after`.  Returns the
+    counter: rows yielded, and whether the source was closed."""
+    seen = {"rows": 0, "closed": False}
+    real = cli.dp_rows
+
+    def rows(*args, **kwargs):
+        try:
+            for row in real(*args, **kwargs):
+                if seen["rows"] == fail_after:
+                    raise RuntimeError("boom")
+                seen["rows"] += 1
+                yield row
+        finally:
+            seen["closed"] = True
+
+    monkeypatch.setattr(cli, "dp_rows", rows)
+    return seen
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_error_while_streaming_is_exit3(self, monkeypatch, fmt):
+        # small chunks, so that some are written before the source fails
+        monkeypatch.setattr(cli, "CHUNK_CHARS", 200)
+        monkeypatch.setattr(strip, "LIFT_BOUND", 10**6)
+        seen = counted_rows(monkeypatch, fail_after=40)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["triangle", "--n", "60", "--height", "8", "--format", fmt])
+        assert code == 3
+        assert "internal error:" in err.getvalue() and "RuntimeError: boom" in err.getvalue()
+        assert seen == {"rows": 40, "closed": True}
+        # what was written is the output's first rows, each of them whole
+        text = out.getvalue()
+        want = int_rendering("lr", 60, 8, fmt)
+        assert text and want.startswith(text)
+        if fmt == "json":
+            written = json.loads(text + "]}")["rows"]
+            assert written == json.loads(want)["rows"][: len(written)]
+        else:
+            assert text.endswith("\n")
+        assert 0 < text.count("]" if fmt == "json" else "\n") <= 40
+
+    def test_write_failure_stops_the_rows(self, monkeypatch):
+        class FailsOnSecondWrite(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 2:
+                    raise OSError(28, "No space left on device")
+                return super().write(text)
+
+        monkeypatch.setattr(strip, "LIFT_BOUND", 10**6)  # a lift within the first chunk
+        seen = counted_rows(monkeypatch)
+        ctx = decimal.getcontext()
+        before = (ctx.prec, dict(ctx.traps))
+        out, err = FailsOnSecondWrite(), io.StringIO()
+        with digit_limit(640):
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["triangle", "--n", "3000", "--height", "40", "--format", "json"])
+            limit = sys.get_int_max_str_digits()
+        assert (code, limit) == (2, 640)
+        assert err.getvalue() == "error: cannot write output: [Errno 28] No space left on device\n"
+        assert seen["closed"] and 0 < seen["rows"] < 3001 // 4
+        assert out.writes == 2 and len(out.getvalue()) >= cli.CHUNK_CHARS
+        assert decimal.getcontext() is ctx and (ctx.prec, dict(ctx.traps)) == before
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux only")
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_memory_does_not_grow_with_the_output(self, fmt):
+        # each child reports its own peak RSS; the large triangle writes
+        # 37.8 MB of output, which a triangle rendered whole would hold
+        src = Path(importlib.util.find_spec("deutsch_paths").origin).parents[1]
+        script = (
+            "import resource, sys\n"
+            "from deutsch_paths.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "sys.stdout.flush()\n"
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        )
+
+        def peak_kb(*argv):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "triangle", *argv, "--format", fmt],
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(src)},
+            )
+            code, kb = proc.stderr.split()
+            assert (proc.returncode, code) == (0, "0"), proc.stderr
+            return int(kb)
+
+        small = peak_kb("--n", "1")
+        large = peak_kb("--n", "3000", "--height", "40")
+        assert large - small <= 8 * 1024, (small, large)
 
 
 @contextmanager

@@ -20,6 +20,7 @@ from deutsch_paths.strip import (
     det_d,
     det_direct,
     dp_counts,
+    dp_rows,
     seq_a,
     seq_b,
     sequence_terms,
@@ -287,6 +288,42 @@ class TestDpCounts:
         assert set(kinds[:first]) == {int} and set(kinds[first:]) <= {decimal.Decimal}
         assert all(isinstance(v, type(row[0])) for row in lifted.rows for v in row)
         assert (first < len(kinds)) == (height is None or height >= 2)
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_rows_checked_at_the_call(self, direction):
+        # before the first row is asked for, so a caller fails before it
+        # writes anything
+        with pytest.raises(ValueError, match="n_max"):
+            dp_rows(direction, -1)
+        with pytest.raises(ValueError, match="height"):
+            dp_rows(direction, 5, height=-1)
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_suspended_lift_leaves_caller_context(self, monkeypatch, direction):
+        # a lifted generator stopped past its lift, as a consumer that stops
+        # reading would leave it: the exact context is entered for each row
+        # update only, never held across a yield
+        monkeypatch.setattr(strip, "LIFT_BOUND", 10**6)
+        n_max, height, stop = 80, 8, 50
+        want = dp_counts(direction, n_max, height=height).rows
+        ctx = decimal.getcontext()
+        state = (ctx.prec, dict(ctx.traps))
+        rows = dp_rows(direction, n_max, height=height, lift=True)
+        got = []
+        for row in rows:
+            assert decimal.getcontext() is ctx
+            assert (ctx.prec, dict(ctx.traps)) == state
+            got.append(row)
+            if len(got) == stop:
+                break
+        assert isinstance(got[-1][0], decimal.Decimal)  # past the lift
+        rows.close()
+        assert decimal.getcontext() is ctx
+        assert (ctx.prec, dict(ctx.traps)) == state
+        assert [list(map(str, row)) for row in got] == [
+            list(map(str, row)) for row in want[:stop]
+        ]
+        assert got == list(want[:stop])
 
     def test_rl_unbounded_matches_closed_form(self):
         table = dp_counts(Direction.RL, 120)
