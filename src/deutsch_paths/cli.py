@@ -10,14 +10,16 @@ plain ASCII digits.  The `verify --suite` names and their order come from
 rendered canonically (sorted keys, fixed separators) so that parse +
 re-render is byte-identical.
 
-`triangle` streams: it takes its rows one at a time from `dp_rows`, renders
-whole rows into chunks of about CHUNK_CHARS characters and writes each chunk
-as soon as it is full, so it holds O(ladder) cells and one chunk of text
-whatever its n, and what it has written when it stops early is whole rows.
-It renders in time linear in its output: `dp_rows` lifts its rows to Decimal
-once counts pass about 200 digits (CPython's int-to-str is quadratic in the
-digit count), and those rows are rendered from their str.  `series`, `area`
-and `verify` render their whole output before any of it is written.
+Every command yields its output as pieces, which `main` joins into chunks
+of about CHUNK_CHARS characters and writes as each fills, so that what it
+has written when it stops early ends where a piece does.  A table is one
+piece per row, each cell the str of its value: the triangle in every format,
+and a series or the area list in text and csv (their json is one document).
+`triangle` takes its rows one at a time from `dp_rows`, so it holds
+O(ladder) cells and one chunk of text whatever its n, and renders in time
+linear in its output: `dp_rows` lifts its rows to Decimal once counts pass
+about 200 digits (CPython's int-to-str is quadratic in the digit count,
+Decimal's str is linear).
 """
 
 from __future__ import annotations
@@ -30,17 +32,17 @@ import os
 import sys
 import traceback
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from dataclasses import asdict
 
 from . import closed, oracle, verify
 from .errors import UsageError
 from .series import coeff_x
-from .strip import Direction, bounded_f, bounded_g, dp_rows, stabilized
+from .strip import bounded_f, bounded_g, dp_rows, stabilized
 
 FORMATS = ("text", "csv", "json")
 
 
-CHUNK_CHARS = 1 << 18  # a triangle is written in pieces of about this many characters
-JSON_BATCH_CELLS = 1 << 10  # int cells per json.dumps call of a json triangle
+CHUNK_CHARS = 1 << 18  # output is written in pieces of about this many characters
 
 
 def _render_json(doc: dict) -> str:
@@ -48,13 +50,29 @@ def _render_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _render_rows(rows: Sequence[Sequence[int]], fmt: str, doc: dict) -> Iterator[str]:
-    """The whole output, `doc` in json and one line per row otherwise,
-    rendered before any of it is written: one piece of text."""
+def _document(doc: dict) -> Iterator[str]:
+    """`doc`, rendered canonically when it is asked for: one piece."""
+    yield _render_json(doc) + "\n"
+
+
+def _table(fmt: str, doc: dict, rows: Iterable[Sequence]) -> Iterator[str]:
+    """`rows` one piece each, so that a chunk ends only where a row does:
+    in text and csv a line of cells; in json `doc` with its "rows", a key
+    that sorts after all of its others, taken from `rows`, so the head
+    comes first, then each row.  A cell is its str: exact, and fast for the
+    ints below the lift bound and the lifted Decimals alike."""
+    # cells by a generator, not map(str, ...): CPython 3.11 specialises str(v)
     if fmt == "json":
-        yield _render_json(doc) + "\n"
+        yield _render_json({**doc, "rows": []})[:-2]  # up to the "]}" that closes it
+        sep = ""
+        for row in rows:
+            yield f"{sep}[{','.join(str(v) for v in row)}]"
+            sep = ","
+        yield "]}\n"
     else:
-        yield "".join(_text_pieces(rows, "," if fmt == "csv" else " "))
+        sep = "," if fmt == "csv" else " "
+        for row in rows:
+            yield sep.join(str(v) for v in row) + "\n"
 
 
 def _chunked(pieces: Iterable[str]) -> Iterator[str]:
@@ -70,41 +88,6 @@ def _chunked(pieces: Iterable[str]) -> Iterator[str]:
             chunk, size = [], 0
     if chunk:
         yield "".join(chunk)
-
-
-def _text_pieces(rows: Iterable[Sequence[int]], sep: str) -> Iterator[str]:
-    """One line per row, each a piece of its own with its newline, so that a
-    chunk ends only where a line does."""
-    for row in rows:
-        # a generator, not map(str, ...): CPython 3.11 specialises str(v)
-        yield sep.join(str(v) for v in row) + "\n"
-
-
-def _json_pieces(doc: dict, rows: Iterable[Sequence[int]]) -> Iterator[str]:
-    """`doc` with its "rows", a key that sorts after all of its others, taken
-    from `rows`: the head first, then whole rows in order, so that a chunk
-    ends only where a row does (or after the head).  Int rows go through
-    json.dumps, which is fast on ints, in batches of about JSON_BATCH_CELLS
-    cells; Decimal rows (a lifted `dp_rows`) are rendered from the str of
-    their cells, in time linear in their length."""
-    yield _render_json({**doc, "rows": []})[:-2]  # up to the "]}" that closes it
-    sep = ""
-    batch: list[Sequence[int]] = []
-    cells = 0
-    for row in rows:
-        lifted = not isinstance(row[0], int)
-        if batch and (lifted or cells >= JSON_BATCH_CELLS):
-            yield sep + json.dumps(batch, separators=(",", ":"))[1:-1]
-            sep, batch, cells = ",", [], 0
-        if lifted:
-            yield f"{sep}[{','.join(str(v) for v in row)}]"
-            sep = ","
-        else:
-            batch.append(row)
-            cells += len(row)
-    if batch:
-        yield sep + json.dumps(batch, separators=(",", ":"))[1:-1]
-    yield "]}\n"
 
 
 def _digits(value: str) -> int | None:
@@ -136,37 +119,29 @@ def _budget() -> int:
 
 
 def cmd_triangle(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
-    direction = Direction(args.direction)
-    rows = dp_rows(direction, args.n, height=args.height, lift=True)
-    if args.format == "json":
-        doc = {"direction": direction.value, "n": args.n, "height": args.height}
-        pieces = _json_pieces(doc, rows)
-    else:
-        pieces = _text_pieces(rows, "," if args.format == "csv" else " ")
-    return 0, _chunked(pieces)
+    rows = dp_rows(args.direction, args.n, height=args.height, lift=True)
+    doc = {"direction": args.direction, "n": args.n, "height": args.height}
+    return 0, _table(args.format, doc, rows)
 
 
 def cmd_series(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
-    direction = Direction(args.direction)
     if args.height is not None:
         if args.level > args.height:
             raise UsageError(f"level {args.level} exceeds height {args.height}")
-        fn = bounded_f if direction is Direction.LR else bounded_g
+        fn = bounded_f if args.direction == "lr" else bounded_g
         series = fn(args.level, args.height, args.order)
     else:
-        series = stabilized(direction, args.level, args.order)
+        series = stabilized(args.direction, args.level, args.order)
     coeffs = series.coeffs
-    return 0, _render_rows(
-        [coeffs],
-        args.format,
-        {
-            "direction": direction.value,
+    if args.format == "json":
+        return 0, _document({
+            "direction": args.direction,
             "level": args.level,
             "order": args.order,
             "height": args.height,
             "coeffs": coeffs,
-        },
-    )
+        })
+    return 0, _table(args.format, {}, [coeffs])
 
 
 def cmd_area(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
@@ -176,8 +151,10 @@ def cmd_area(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
     by_gf = [coeff_x(gf, n) for n in ns]
     if by_sum != by_gf:
         print(f"area mismatch: closed sum {by_sum} vs GF extraction {by_gf}", file=sys.stderr)
-        return 1, _render_rows([], "text", {})  # no output
-    return 0, _render_rows([by_sum], args.format, {"n": ns, "area": by_sum})
+        return 1, iter(())  # no output
+    if args.format == "json":
+        return 0, _document({"n": ns, "area": by_sum})
+    return 0, _table(args.format, {}, [by_sum])
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
@@ -190,38 +167,22 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
 def _render_reports(
     reports: list[verify.SuiteReport], all_passed: bool, fmt: str
 ) -> Iterator[str]:
-    """The verify report, rendered whole before any of it is written."""
+    """The verify report: one json document, or a line per check and per
+    note, each line a piece."""
     if fmt == "json":
-        doc = {
-            "passed": all_passed,
-            "suites": [
-                {
-                    "suite": r.suite,
-                    "passed": r.passed,
-                    "checks": [
-                        {"name": c.name, "passed": c.passed, "detail": c.detail}
-                        for c in r.checks
-                    ],
-                    "notes": r.notes,
-                }
-                for r in reports
-            ],
-        }
-        yield _render_json(doc) + "\n"
+        suites = [{**asdict(r), "passed": r.passed} for r in reports]
+        yield from _document({"passed": all_passed, "suites": suites})
         return
     sep = "," if fmt == "csv" else ": "
-    lines: list[str] = []
     for r in reports:
         for c in r.checks:
-            status = "PASS" if c.passed else "FAIL"
-            line = f"{status}{sep}{r.suite}{sep}{c.name}"
+            fields = ["PASS" if c.passed else "FAIL", r.suite, c.name]
             if c.detail and not c.passed:
-                line += f"{sep}{c.detail}"
-            lines.append(line)
+                fields.append(c.detail)
+            yield sep.join(fields) + "\n"
         if r.notes:
-            lines.append(f"# {r.suite}: documented deviations")
-            lines.extend(f"#   {note}" for note in r.notes)
-    yield "".join(line + "\n" for line in lines)
+            yield f"# {r.suite}: documented deviations\n"
+            yield from (f"#   {note}\n" for note in r.notes)
 
 
 @functools.cache
@@ -308,9 +269,10 @@ def _wrote(op: Callable[..., object], *args: str) -> bool:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code, output = args.func(args)
-        # the loop drives the output: each piece is produced only when the
+        code, pieces = args.func(args)
+        # the loop drives the output: each chunk is produced only when the
         # last one is written, and none after a write fails
+        output = _chunked(pieces)
         with contextlib.closing(output), _digits_unlimited():
             for chunk in output:
                 if not _wrote(sys.stdout.write, chunk):

@@ -71,7 +71,7 @@ def _walk(direction: Direction, n: int, height: Optional[int], top: int,
 
 
 def enumerate_paths(
-    direction: Direction,
+    direction: Direction | str,
     n: int,
     height: Optional[int] = None,
     budget: int = DEFAULT_BUDGET,
@@ -92,18 +92,18 @@ def enumerate_paths(
         if path[-1] == 0:
             total_area += sum(path)
 
-    _walk(direction, n, height, n if height is None else height, budget, visit)
+    _walk(Direction(direction), n, height, n if height is None else height, budget, visit)
     return OracleReport(dict(by_level), total_area)
 
 
 def generate_closed(
-    direction: Direction, n: int, budget: int = DEFAULT_BUDGET
+    direction: Direction | str, n: int, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[int, ...]]:
     """All closed paths of length n as ordinate tuples c_0..c_n.  By the lemma
     of _walk an RL path closes only if its level l <= r, the steps left, so
     an RL up-step to nxt > n - pos - 1 is skipped."""
     out: list[tuple[int, ...]] = []
-    _walk(direction, n, None, 0, budget, lambda path: out.append(tuple(path)))
+    _walk(Direction(direction), n, None, 0, budget, lambda path: out.append(tuple(path)))
     return out
 
 

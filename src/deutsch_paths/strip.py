@@ -43,7 +43,6 @@ class CountTable:
 
     direction: Direction
     height: Optional[int]  # None = unbounded
-    # ints; a table dp_counts lifted holds Decimals from some row on
     rows: tuple[tuple[int, ...], ...]
 
     def count(self, n: int, k: int) -> int:
@@ -57,21 +56,20 @@ class CountTable:
         return row[k] if 0 <= k < len(row) else 0
 
 
-def dp_counts(
-    direction: Direction, n_max: int, height: Optional[int] = None, lift: bool = False
-) -> CountTable:
+def dp_counts(direction: Direction | str, n_max: int, height: Optional[int] = None) -> CountTable:
     """Exact counts of paths from (0,0) to (n,k) staying within [0, h]: the
-    rows of `dp_rows`, kept as one table."""
-    return CountTable(direction, height, tuple(dp_rows(direction, n_max, height, lift)))
+    int rows of `dp_rows`, kept as one table."""
+    direction = Direction(direction)
+    return CountTable(direction, height, tuple(dp_rows(direction, n_max, height)))
 
 
 def dp_rows(
-    direction: Direction, n_max: int, height: Optional[int] = None, lift: bool = False
+    direction: Direction | str, n_max: int, height: Optional[int] = None, lift: bool = False
 ) -> Iterator[tuple[int, ...]]:
     """Row n = 0..n_max of the path counts from (0,0) to (n,k) within
     [0, h], yielded one at a time: the generator holds O(ladder) cells,
     whatever n_max is.  The arguments are checked at the call, before the
-    first row is asked for.
+    first row is asked for; `direction` is a Direction or its value.
 
     Unbounded LR paths never exceed level n_max, but unbounded RL paths may
     overshoot the reported levels and come back with -1 steps, so the RL
@@ -92,15 +90,17 @@ def dp_rows(
     cell is a Decimal sum: the rows from there on hold Decimals, equal to
     the ints they stand for.  That is for rendering: CPython's int-to-str is
     quadratic in the digit count and Decimal's str is linear, while smaller
-    ints add and print faster than Decimals.  Each row update runs in a
-    context of this function's own, exact at any size, never in the
-    caller's; it is entered for that update only, so the caller's context
-    is its own between rows.
+    ints add faster than Decimals.  This is the one place that knows a
+    row's number type: a caller renders every cell by its str.  Each row
+    update runs in a context of this function's own, exact at any size,
+    never in the caller's; it is entered for that update only, so the
+    caller's context is its own between rows.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if height is not None and height < 0:
         raise ValueError("height must be nonnegative")
+    direction = Direction(direction)
     if direction is Direction.LR:
         ladder = n_max if height is None else min(height, n_max)
         report = n_max if height is None else min(height, n_max)
@@ -424,7 +424,7 @@ def bounded_g(i: int, h: int, order: int) -> ZSeries:
     return _cramer(Direction.RL, i, (h,), order)[0]
 
 
-def stabilized(direction: Direction, level: int, order: int) -> ZSeries:
+def stabilized(direction: Direction | str, level: int, order: int) -> ZSeries:
     """The h -> infinity limit, realized at a finite certifying barrier.
 
     Uses h = order + level + 2 and re-checks at h + 1; the two must agree
@@ -435,7 +435,7 @@ def stabilized(direction: Direction, level: int, order: int) -> ZSeries:
     if level < 0 or order < 0:
         raise ValueError("level and order must be nonnegative")
     h = order + level + 2
-    first, second = _cramer(direction, level, (h, h + 1), order)
+    first, second = _cramer(Direction(direction), level, (h, h + 1), order)
     if first != second:
         raise ConsistencyError(
             f"series at barrier {h} and {h + 1} differ; stabilization bound is wrong"
@@ -443,7 +443,7 @@ def stabilized(direction: Direction, level: int, order: int) -> ZSeries:
     return first
 
 
-def solve_system(direction: Direction, h: int, order: int) -> list[ZSeries]:
+def solve_system(direction: Direction | str, h: int, order: int) -> list[ZSeries]:
     """Solve the (h+1)x(h+1) banded system directly over truncated series.
 
     Returns the full vector (f_0..f_h) or (g_0..g_h), eliminating on
@@ -458,7 +458,7 @@ def solve_system(direction: Direction, h: int, order: int) -> list[ZSeries]:
     one = [1] + [0] * order
     # the system augmented by its right-hand side e_1 as column m
     mat = [[(list(p) + [0] * n)[:n] for p in row] + [one if i == 0 else [0] * n]
-           for i, row in enumerate(_system_matrix(direction, m))]
+           for i, row in enumerate(_system_matrix(Direction(direction), m))]
 
     def minus_product(acc: list[int], u: list[int], v: list[int]) -> list[int]:
         return shifted_sum(acc, poly_mul(u, v, order), sign=-1, cap=order)

@@ -15,11 +15,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deutsch_paths import cli, strip, verify
+from deutsch_paths import cli, closed, strip, verify
 from deutsch_paths.cli import FORMATS, build_parser, main
 from deutsch_paths.errors import ConsistencyError
 from deutsch_paths.series import ZSeries
-from deutsch_paths.strip import Direction, bounded_f, dp_counts
+from deutsch_paths.strip import Direction, bounded_f, dp_counts, dp_rows
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -101,9 +101,9 @@ class TestTriangle:
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_rendering_at_the_real_lift_bound(self, fmt):
-        table = dp_counts(Direction.LR, 700, height=40, lift=True)
-        assert isinstance(table.rows[-1][0], decimal.Decimal)
-        assert len(str(max(table.rows[-1]))) == 285
+        rows = list(dp_rows(Direction.LR, 700, height=40, lift=True))
+        assert isinstance(rows[-1][0], decimal.Decimal)
+        assert len(str(max(rows[-1]))) == 285
         assert_same_text(triangle_output("lr", 700, 40, fmt), int_rendering("lr", 700, 40, fmt))
 
     def test_decimal_imported_only_by_a_lift(self):
@@ -188,6 +188,14 @@ class TestArea:
         assert code == 0
         assert json.loads(out) == {"n": [0, 1, 2], "area": [0, 1, 12]}
 
+    def test_mismatch_is_exit1_without_output(self, capsys, monkeypatch):
+        real = cli.coeff_x
+        monkeypatch.setattr(cli, "coeff_x", lambda gf, n: real(gf, n) + (n == 2))
+        code = main(["area", "--nmax", "3"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.count("\n") == 1 and captured.err.startswith("area mismatch: ")
+
 
 class TestVerify:
     def test_area_suite(self, capsys):
@@ -198,6 +206,16 @@ class TestVerify:
     def test_dp_closed_suite(self, capsys):
         code, out = run(capsys, "verify", "--suite", "dp-closed", "--nmax", "20")
         assert code == 0
+
+    def test_catalan_mismatch_is_exit1(self, capsys, monkeypatch):
+        # the binomial-difference form of cat3(10) off by one, and only it
+        real = closed.binom
+        monkeypatch.setattr(closed, "binom", lambda n, k: real(n, k) + ((n, k) == (31, 10)))
+        code, out = run(capsys, "verify", "--suite", "dp-closed", "--format", "json")
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["suites"][0]["checks"]}
+        catalan = checks["generalized Catalan identity (N<=40)"]
+        assert (catalan["passed"], catalan["detail"]) == (False, "first mismatch [10]")
 
     def test_paper_lists_reports_deviations(self, capsys):
         code, out = run(capsys, "verify", "--suite", "paper-lists")
@@ -294,16 +312,22 @@ class TestExitCodes:
         assert (code, captured.out) == (3, "")
         assert "internal error:" in captured.err and "Traceback" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["triangle", "--n", "4"],
+        ["series", "--level", "0", "--order", "8"],
+        ["area", "--nmax", "3"],
+        ["verify", "--suite", "paper-lists"],
+    ], ids=lambda argv: argv[0])
     @pytest.mark.parametrize("exc", [BrokenPipeError(32, "Broken pipe"),
                                      OSError(28, "No space left on device")])
-    def test_unwritable_stdout_is_exit2(self, exc):
+    def test_unwritable_stdout_is_exit2(self, exc, argv):
         class Unwritable(io.StringIO):
             def write(self, text):
                 raise exc
 
         err = io.StringIO()
         with redirect_stdout(Unwritable()), redirect_stderr(err):
-            code = main(["triangle", "--n", "4"])
+            code = main(argv)
         assert code == 2
         assert err.getvalue() == f"error: cannot write output: {exc}\n"
 

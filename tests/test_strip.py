@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from deutsch_paths import strip
 from deutsch_paths.closed import count_rl_closed
 from deutsch_paths.errors import ConsistencyError
+from deutsch_paths.oracle import enumerate_paths, generate_closed
 from deutsch_paths.series import IntPoly, ZSeries
 from deutsch_paths.strip import (
     Direction,
@@ -212,6 +213,27 @@ def leibniz_det(mat):
     return list(total.coeffs)
 
 
+# each public entry point that takes a direction, called on one direction
+ENTRY_POINTS = {
+    "dp_rows": lambda d: list(dp_rows(d, 6)),
+    "dp_counts": lambda d: dp_counts(d, 6),
+    "stabilized": lambda d: stabilized(d, 1, 7),
+    "solve_system": lambda d: solve_system(d, 3, 6),
+    "enumerate_paths": lambda d: enumerate_paths(d, 6),
+    "generate_closed": lambda d: generate_closed(d, 6),
+}
+
+
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_direction_value_is_its_direction(name):
+    call = ENTRY_POINTS[name]
+    lr, rl = call(Direction.LR), call(Direction.RL)
+    assert lr != rl
+    assert (call("lr"), call("rl")) == (lr, rl)
+    with pytest.raises(ValueError):
+        call("up")
+
+
 class TestDpCounts:
     def test_lr_unbounded_row4(self):
         t = dp_counts(Direction.LR, 4)
@@ -276,17 +298,17 @@ class TestDpCounts:
         with decimal.localcontext(prec=5) as caller:
             for n_max in range(81):
                 table = dp_counts(direction, n_max, height=height)
-                lifted = dp_counts(direction, n_max, height=height, lift=True)
-                assert [list(map(str, row)) for row in lifted.rows] == [
+                lifted = tuple(dp_rows(direction, n_max, height=height, lift=True))
+                assert [list(map(str, row)) for row in lifted] == [
                     list(map(str, row)) for row in table.rows
                 ]
-                assert lifted.rows == table.rows
+                assert lifted == table.rows
             assert decimal.getcontext() is caller and caller.prec == 5
         # ints up to the lift, Decimals from it on, and a lift when counts grow
-        kinds = [type(row[0]) for row in lifted.rows]
+        kinds = [type(row[0]) for row in lifted]
         first = kinds.index(decimal.Decimal) if decimal.Decimal in kinds else len(kinds)
         assert set(kinds[:first]) == {int} and set(kinds[first:]) <= {decimal.Decimal}
-        assert all(isinstance(v, type(row[0])) for row in lifted.rows for v in row)
+        assert all(isinstance(v, type(row[0])) for row in lifted for v in row)
         assert (first < len(kinds)) == (height is None or height >= 2)
 
     @pytest.mark.parametrize("direction", list(Direction))
