@@ -89,14 +89,11 @@ DOCUMENTED_DEVIATIONS: frozenset[Deviation] = frozenset(
 def printed_deviations() -> frozenset[Deviation]:
     """Recompute the diff between printed tables and closed-form counts."""
     devs: set[Deviation] = set()
-    for level, table in PRINTED_F.items():
-        for order, printed in table.items():
-            computed = count_lr_closed(order, level)
-            if computed != printed:
-                devs.add(Deviation("f", level, order, printed, computed))
-    for level, table in PRINTED_G.items():
-        for order, printed in table.items():
-            computed = count_rl_closed(order, level)
-            if computed != printed:
-                devs.add(Deviation("g", level, order, printed, computed))
+    for family, printed_lists, count in (("f", PRINTED_F, count_lr_closed),
+                                         ("g", PRINTED_G, count_rl_closed)):
+        for level, table in printed_lists.items():
+            for order, printed in table.items():
+                computed = count(order, level)
+                if computed != printed:
+                    devs.add(Deviation(family, level, order, printed, computed))
     return frozenset(devs)

@@ -24,14 +24,6 @@ from .errors import ConsistencyError
 # integer polynomials (coefficient lists, index = exponent)
 # ---------------------------------------------------------------------------
 
-def trim(coeffs: Iterable[int]) -> list[int]:
-    """The coefficients without trailing zeros (the zero polynomial is [])."""
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
 @dataclass(frozen=True)
 class IntPoly:
     """Dense integer polynomial; the zero polynomial has an empty tuple."""
@@ -39,17 +31,34 @@ class IntPoly:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(trim(self.coeffs)))
+        cs = list(self.coeffs)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def divmod_by(self, divisor: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
-        """Polynomial long division by `long_division`; (0, self) when a
-        quotient step does not divide in Z."""
+        """Top-down long division: (q, r) with self = q divisor + r and
+        deg r < deg divisor.  When the divisor's leading coefficient does not
+        divide a step's leading term, the divisor does not divide self in
+        Z[t], and the result is (0, self)."""
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        quot, rem = long_division(self.coeffs, divisor.coeffs)
+        den = divisor.coeffs
+        rem = list(self.coeffs)
+        dd = len(den) - 1
+        quot = [0] * max(len(rem) - dd, 0)
+        for k in range(len(rem) - 1, dd - 1, -1):
+            if rem[k] == 0:
+                continue
+            c, inexact = divmod(rem[k], den[-1])
+            if inexact:
+                return IntPoly(), self
+            quot[k - dd] = c
+            for j, b in enumerate(den, k - dd):
+                rem[j] -= c * b
         return IntPoly(tuple(quot)), IntPoly(tuple(rem))
 
 
@@ -87,28 +96,6 @@ def shifted_sum(u: list[int], v: list[int], shift: int = 0, sign: int = 1,
     if len(v) < n:
         v = v + [0] * (n - len(v))
     return list(map(add if sign > 0 else sub, u, v))
-
-
-def long_division(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Top-down long division of integer polynomials (coefficient lists,
-    lowest power first; den's last coefficient nonzero): (q, r) with
-    num = q den + r and deg r < deg den.  When den's leading coefficient does
-    not divide a step's leading term, den does not divide num in Z[t], and
-    the result is ([], num)."""
-    rem = list(num)
-    dlead = den[-1]
-    dd = len(den) - 1
-    quot = [0] * max(len(rem) - dd, 0)
-    for k in range(len(rem) - 1, dd - 1, -1):
-        if rem[k] == 0:
-            continue
-        if rem[k] % dlead != 0:
-            return [], list(num)
-        c = rem[k] // dlead
-        quot[k - dd] = c
-        for j, b in enumerate(den, k - dd):
-            rem[j] -= c * b
-    return quot, rem
 
 
 def divide(num: Sequence[int], den: Sequence[int]) -> list[int]:

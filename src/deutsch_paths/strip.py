@@ -10,8 +10,8 @@ The Cramer route computes in x = z^2: the determinants d_m and the terms
 a_n are polynomials in x, and b_n is z^(n mod 2) times one, so every
 quotient is z^(level mod 2) times a series in x.  It streams, multiplies and
 divides integer coefficient lists in x and builds one ZSeries at the end.
-The banded solve and the direct determinants compute on coefficient lists
-in z too: a ZSeries is only the value a route returns.
+The banded solve computes on coefficient lists in z too, and the direct
+determinants on integers: a ZSeries is only the value a route returns.
 The RL numerator is two products: b_n = b_{n-2} + z b_{n-3} folds the
 cofactor expansion's four.
 """
@@ -22,10 +22,11 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import count
+from math import prod
 from typing import Callable, ContextManager, Iterator, Optional
 
 from .errors import ConsistencyError
-from .series import ZSeries, divide, long_division, place, poly_mul, shifted_sum, trim
+from .series import ZSeries, divide, place, poly_mul, shifted_sum
 
 
 # a lifted dp_rows turns Decimal once a row sums past this (about 200 digits)
@@ -39,11 +40,15 @@ class Direction(Enum):
 
 @dataclass(frozen=True)
 class CountTable:
-    """Triangle of path counts by (length, end level)."""
+    """Triangle of path counts by (length, end level); `direction` is a
+    Direction or its value."""
 
     direction: Direction
     height: Optional[int]  # None = unbounded
     rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "direction", Direction(self.direction))
 
     def count(self, n: int, k: int) -> int:
         """Paths of length n ending at level k; 0 above a row's end, except
@@ -331,34 +336,30 @@ def _system_matrix(direction: Direction, m: int) -> list[list[tuple[int, ...]]]:
     return lr if direction is Direction.LR else [list(row) for row in zip(*lr)]
 
 
-def _exact_quotient(num: list[int], den: list[int]) -> list[int]:
-    """num / den in Z[z] by long division; ConsistencyError unless the
-    remainder is zero."""
-    quot, rem = long_division(num, den)
-    if any(rem):
-        raise ConsistencyError("Bareiss division was not exact")
-    return quot
-
-
 def _bareiss(mat: list[list[list[int]]]) -> list[int]:
     """Determinant of a square matrix over Z[z] (entries are coefficient
-    lists, lowest power first) by fraction-free (Bareiss) elimination.
+    lists, lowest power first), as a trimmed list, by fraction-free
+    (Bareiss) elimination on the entries' integer values at z = 2^B.
 
-    Step r sets each entry below and right of the pivot to
-    (a p - b c) / prev, with p the pivot, b and c the entries in its column
-    and row, and prev the previous pivot; Sylvester's identity makes the
-    division exact, and `_exact_quotient` checks that it is.  An entry with
-    a = 0 and b c = 0 stays zero with no arithmetic.  A zero pivot swaps in
-    the first row below with a nonzero entry in its column, flipping the
-    sign; with no such row the determinant is zero.  The empty matrix has
-    determinant 1.
+    The determinant's absolute coefficients sum to at most the product over
+    rows of each row's absolute coefficient sum (expand it over
+    permutations); B is one bit longer than that product, so every
+    coefficient is a balanced base-2^B digit of the integer determinant.
+
+    Step r sets each entry below and right of the pivot to (a p - b c) /
+    prev, with p the pivot, b and c the entries in its column and row, and
+    prev the previous pivot; Sylvester's identity makes the division exact,
+    and its remainder is checked.  A zero pivot swaps in the first row below
+    with a nonzero entry in its column, flipping the sign; with no such row
+    the determinant is zero.  The empty matrix has determinant 1.
     """
     m = len(mat)
     if m == 0:
         return [1]
-    mat = [[trim(e) for e in row] for row in mat]
+    bits = prod(sum(abs(c) for e in row for c in e) for row in mat).bit_length() + 1
+    mat = [[sum(c << (bits * k) for k, c in enumerate(e)) for e in row] for row in mat]
     sign = 1
-    prev = [1]
+    prev = 1
     for r in range(m - 1):
         if not mat[r][r]:
             swap = next((i for i in range(r + 1, m) if mat[i][r]), None)
@@ -370,28 +371,28 @@ def _bareiss(mat: list[list[list[int]]]) -> list[int]:
         for row in mat[r + 1:]:
             b = row[r]
             for j in range(r + 1, m):
-                a, c = row[j], pivot_row[j]
-                if not a and not (b and c):
-                    continue
-                num = poly_mul(a, pivot) if a else []
-                if b and c:
-                    num = shifted_sum(num, poly_mul(b, c), sign=-1)
-                num = trim(num)
-                row[j] = _exact_quotient(num, prev) if num else []
-            row[r] = []
+                row[j], rem = divmod(row[j] * pivot - b * pivot_row[j], prev)
+                if rem:
+                    raise ConsistencyError("Bareiss division was not exact")
         prev = pivot
-    return [sign * c for c in mat[-1][-1]]
+    det, half = sign * mat[-1][-1], 1 << (bits - 1)
+    coeffs = []
+    while det:
+        det, digit = divmod(det + half, 2 * half)
+        coeffs.append(digit - half)
+    return coeffs
 
 
 def det_direct(m: int, order: int, q: Optional[int] = None) -> ZSeries:
-    """Determinant by fraction-free (Bareiss) elimination over Z[z], on
-    integer coefficient lists (`_bareiss`), truncated at z^order.
+    """Determinant of a matrix over Z[z] by fraction-free (Bareiss)
+    elimination on its integer values at one power of two (`_bareiss`),
+    truncated at z^order.
 
     With q=None this is the LR matrix (checks det_d); with 1 <= q <= m it is
     the transposed (RL) matrix with column q replaced by e_1 (checks delta).
     A direct elimination, independent of the recurrences it checks: O(m^3)
-    entry updates, each a product and an exact division of polynomials of
-    degree O(m).
+    entry updates, each two products and a checked exact division of
+    integers of O(m B) bits, B = O(m log m) bits per coefficient.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -432,8 +433,8 @@ def stabilized(direction: Direction | str, level: int, order: int) -> ZSeries:
     the d recurrence (and, for RL, one over a), which holds three live terms
     plus the ones the two quotients use.
     """
-    if level < 0 or order < 0:
-        raise ValueError("level and order must be nonnegative")
+    if level < 0:
+        raise ValueError("level must be nonnegative")
     h = order + level + 2
     first, second = _cramer(Direction(direction), level, (h, h + 1), order)
     if first != second:

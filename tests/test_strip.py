@@ -1,5 +1,6 @@
 """Strip enumeration, determinant recurrences, and the Cramer route."""
 
+import builtins
 import decimal
 from collections import Counter
 from functools import lru_cache
@@ -14,6 +15,7 @@ from deutsch_paths.errors import ConsistencyError
 from deutsch_paths.oracle import enumerate_paths, generate_closed
 from deutsch_paths.series import IntPoly, ZSeries
 from deutsch_paths.strip import (
+    CountTable,
     Direction,
     bounded_f,
     bounded_g,
@@ -217,6 +219,7 @@ def leibniz_det(mat):
 ENTRY_POINTS = {
     "dp_rows": lambda d: list(dp_rows(d, 6)),
     "dp_counts": lambda d: dp_counts(d, 6),
+    "CountTable": lambda d: CountTable(d, None, dp_counts("rl", 3).rows),
     "stabilized": lambda d: stabilized(d, 1, 7),
     "solve_system": lambda d: solve_system(d, 3, 6),
     "enumerate_paths": lambda d: enumerate_paths(d, 6),
@@ -490,19 +493,20 @@ class TestBareiss:
         assert strip._bareiss([[[1], [2]], [[2], [4]]]) == []
         assert strip._bareiss([[[], [1]], [[0, 0], [0, 1]]]) == []
 
-    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
-        st.lists(st.lists(st.integers(-2, 2), max_size=3), min_size=n, max_size=n),
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.lists(st.integers(-10**6, 10**6), max_size=5), min_size=n, max_size=n),
         min_size=n, max_size=n)))
     @settings(max_examples=60)
     def test_matches_permutation_expansion(self, mat):
         assert strip._bareiss(mat) == leibniz_det(mat)
 
-    def test_inexact_division_raises(self):
-        with pytest.raises(ConsistencyError):
-            strip._exact_quotient([1, 1], [0, 1])  # remainder 1
-        with pytest.raises(ConsistencyError):
-            strip._exact_quotient([0, 1], [0, 2])  # 1/2 is no integer
-        assert strip._exact_quotient([-1, 0, 1], [-1, 1]) == [1, 1]
+    def test_inexact_division_raises(self, monkeypatch):
+        def leaves_a_remainder(a, b):
+            return builtins.divmod(a, b)[0], 1
+
+        monkeypatch.setattr(strip, "divmod", leaves_a_remainder, raising=False)
+        with pytest.raises(ConsistencyError, match="^Bareiss division was not exact$"):
+            det_direct(3, 4)
 
 
 class TestCramer:
@@ -635,6 +639,7 @@ NEGATIVE_ORDER_CALLS = {
     "seq_b": lambda: seq_b(3, -1),
     "seq_a_negative_index": lambda: seq_a(-1, -1),
     "seq_b_negative_index": lambda: seq_b(-2, -1),
+    "stabilized": lambda: stabilized(Direction.LR, 0, -1),
 }
 
 
