@@ -22,7 +22,8 @@ class OracleReport:
 
 
 def _steps(direction: Direction, level: int, cap: int) -> Iterator[int]:
-    # generation order: up first, then shallowest down (keeps output stable)
+    """The levels one step from `level` in [0, cap], up first, then shallowest
+    down (stable output); `down` and `up` move by 2 until they leave [0, cap]."""
     if direction is Direction.LR:
         if level + 1 <= cap:
             yield level + 1

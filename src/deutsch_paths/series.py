@@ -287,7 +287,8 @@ def coeff_x(f: TRational, n: int) -> int:
 
 
 def zseries_of(f: TRational, order: int) -> ZSeries:
-    """Realize a closed form as a truncated series in z (x = z^2)."""
+    """Realize a closed form as a truncated series in z (x = z^2); `place`
+    takes only the coefficients up to z^order from the endless `count()`."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     base = f.drop_zshift()

@@ -3,8 +3,8 @@
 Paths live in the strip 0 <= level <= h.  Left-to-right (LR) paths step
 +1 or -1,-3,-5,...; right-to-left (RL) paths are the reversal: +1,+3,+5,...
 and -1.  Generating functions for fixed h come from Cramer's rule over the
-banded system matrix, and the unbounded limit is obtained by pushing the
-barrier high enough that the truncated series stabilizes.
+banded system matrix; the unbounded limit up to z^order is the quotient at
+the barrier h = order + level, which `stabilized` proves exact.
 
 The Cramer route computes in x = z^2: the determinants d_m and the terms
 a_n are polynomials in x, and b_n is z^(n mod 2) times one, so every
@@ -78,10 +78,10 @@ def dp_rows(
 
     Unbounded LR paths never exceed level n_max, but unbounded RL paths may
     overshoot the reported levels and come back with -1 steps, so the RL
-    recursion runs on a ladder up to 2*n_max (a path ending at k <= n never
-    exceeds k + n).  LR row n keeps levels 0..min(n, h); RL rows from n = 1
-    on keep levels 0..h in a strip (0..n_max unbounded), since a single
-    up-step reaches any odd level.
+    recursion runs on a ladder up to 2*n_max (a path of length n ending at
+    k never exceeds k + n: the lemma in `stabilized`).  LR row n keeps
+    levels 0..min(n, h); RL rows from n = 1 on keep levels 0..h in a strip
+    (0..n_max unbounded), since a single up-step reaches any odd level.
 
     An LR cell is c_n(k) = c_{n-1}(k-1) + S(k+1), where S(j) = c_{n-1}(j) +
     S(j+2) is a running suffix sum over one parity class of the ladder, so a
@@ -187,7 +187,7 @@ def _sequence(name: str, cap: int) -> Iterator[list[int]]:
     own initial terms 1, 1, 1 - x, so d_m == a_{m+1} is a real check, not an
     identity.  b_n = z^(n mod 2) beta_n(x), so b never mixes parities:
     beta_0, beta_1, beta_2 = 1, 0, 1 and beta_n = beta_{n-2} + x^[n even]
-    beta_{n-3}.
+    beta_{n-3}.  The stream is endless: each consumer zips it with a range.
     """
     inits = {"a": ([1], [1], [1]), "b": ([1], [], [1]), "d": ([1], [1], [1, -1][: cap + 1])}
     u3, u2, u1 = inits[name]
@@ -255,22 +255,18 @@ def _evaluate(numerator: list[tuple[int, tuple]], terms: dict, cap: int) -> list
     return total + [0] * (cap + 1 - len(total))
 
 
-def _cramer(direction: Direction, level: int, barriers: tuple[int, ...], order: int) -> list[ZSeries]:
-    """The Cramer quotients numerator / d_{h+1} of `level` at each barrier h,
-    with every sequence term they need taken from one pass per sequence.
-    Each quotient is z^(level mod 2) times a series in x, divided in x."""
+def _cramer(direction: Direction, level: int, h: int, order: int) -> ZSeries:
+    """The Cramer quotient numerator / d_{h+1} of `level` at barrier h, with
+    every sequence term it needs taken from one pass per sequence.  The
+    quotient is z^(level mod 2) times a series in x, divided in x."""
     parity = level % 2
     cap = _cap(order, parity)
-    numerators = [_numerator(direction, level, h + 1) for h in barriers]
-    wanted = {f for num in numerators for _, fs in num for f in fs}
-    terms = _terms(wanted | {("d", h + 1) for h in barriers}, cap)
-    quotients = []
-    for num, h in zip(numerators, barriers):
-        den = terms["d", h + 1]
-        if den[0] != 1:
-            raise ConsistencyError(f"d_{h + 1} has constant term {den[0]}, not 1")
-        quotients.append(place(divide(_evaluate(num, terms, cap), den), order, parity, 2))
-    return quotients
+    numerator = _numerator(direction, level, h + 1)
+    terms = _terms({f for _, fs in numerator for f in fs} | {("d", h + 1)}, cap)
+    den = terms["d", h + 1]
+    if den[0] != 1:
+        raise ConsistencyError(f"d_{h + 1} has constant term {den[0]}, not 1")
+    return place(divide(_evaluate(numerator, terms, cap), den), order, parity, 2)
 
 
 def sequence_terms(name: str, n: int, order: int) -> list[ZSeries]:
@@ -345,6 +341,8 @@ def _bareiss(mat: list[list[list[int]]]) -> list[int]:
     rows of each row's absolute coefficient sum (expand it over
     permutations); B is one bit longer than that product, so every
     coefficient is a balanced base-2^B digit of the integer determinant.
+    Its degree is at most the sum of each row's largest entry degree, which
+    bounds the digit loop; a digit left over (B too small) is a ConsistencyError.
 
     Step r sets each entry below and right of the pivot to (a p - b c) /
     prev, with p the pivot, b and c the entries in its column and row, and
@@ -356,6 +354,7 @@ def _bareiss(mat: list[list[list[int]]]) -> list[int]:
     m = len(mat)
     if m == 0:
         return [1]
+    degree = sum(max(len(e) for e in row) - 1 for row in mat)
     bits = prod(sum(abs(c) for e in row for c in e) for row in mat).bit_length() + 1
     mat = [[sum(c << (bits * k) for k, c in enumerate(e)) for e in row] for row in mat]
     sign = 1
@@ -377,9 +376,11 @@ def _bareiss(mat: list[list[list[int]]]) -> list[int]:
         prev = pivot
     det, half = sign * mat[-1][-1], 1 << (bits - 1)
     coeffs = []
-    while det:
+    while det and len(coeffs) <= degree:
         det, digit = divmod(det + half, 2 * half)
         coeffs.append(digit - half)
+    if det:
+        raise ConsistencyError(f"Bareiss determinant has more than {degree + 1} digits")
     return coeffs
 
 
@@ -415,33 +416,29 @@ def bounded_f(k: int, h: int, order: int) -> ZSeries:
     """LR paths in [0,h] ending at level k: f_k = z^k d_{h-k} / d_{h+1}."""
     if not 0 <= k <= h:
         raise ValueError(f"level {k} exceeds barrier {h}")
-    return _cramer(Direction.LR, k, (h,), order)[0]
+    return _cramer(Direction.LR, k, h, order)
 
 
 def bounded_g(i: int, h: int, order: int) -> ZSeries:
     """RL paths in [0,h] ending at level i: g_i = Delta_{h+1,i+1} / d_{h+1}."""
     if not 0 <= i <= h:
         raise ValueError(f"level {i} exceeds barrier {h}")
-    return _cramer(Direction.RL, i, (h,), order)[0]
+    return _cramer(Direction.RL, i, h, order)
 
 
 def stabilized(direction: Direction | str, level: int, order: int) -> ZSeries:
-    """The h -> infinity limit, realized at a finite certifying barrier.
+    """The h -> infinity limit up to z^order: the Cramer quotient at the
+    barrier h = order + level.
 
-    Uses h = order + level + 2 and re-checks at h + 1; the two must agree
-    bit for bit.  Both quotients take their sequence terms from one pass over
-    the d recurrence (and, for RL, one over a), which holds three live terms
-    plus the ones the two quotients use.
+    Lemma: no path of length n <= order ending at `level` climbs above h, so
+    up to z^order the strip [0, h] counts every unbounded path.  An LR path
+    climbs by +1 steps only, so its maximum M <= n.  An RL path descends by
+    -1 steps only, so M - level of them follow the maximum, which a step
+    reaches: M <= n + level - 1 for n >= 1 (the empty path stays at 0).
     """
     if level < 0:
         raise ValueError("level must be nonnegative")
-    h = order + level + 2
-    first, second = _cramer(Direction(direction), level, (h, h + 1), order)
-    if first != second:
-        raise ConsistencyError(
-            f"series at barrier {h} and {h + 1} differ; stabilization bound is wrong"
-        )
-    return first
+    return _cramer(Direction(direction), level, order + level, order)
 
 
 def solve_system(direction: Direction | str, h: int, order: int) -> list[ZSeries]:

@@ -500,6 +500,13 @@ class TestBareiss:
     def test_matches_permutation_expansion(self, mat):
         assert strip._bareiss(mat) == leibniz_det(mat)
 
+    def test_short_bound_raises(self, monkeypatch):
+        # B = 1: det = 1 is then a fixed point of the digit loop, which
+        # must stop after the degree bound's one digit instead of spinning
+        monkeypatch.setattr(strip, "prod", lambda rows: 0)
+        with pytest.raises(ConsistencyError, match="^Bareiss determinant has more than 1 digits$"):
+            det_direct(1, 4)
+
     def test_inexact_division_raises(self, monkeypatch):
         def leaves_a_remainder(a, b):
             return builtins.divmod(a, b)[0], 1
@@ -541,6 +548,17 @@ class TestCramer:
             assert series.coeffs == tuple(
                 table.count(n, level) for n in range(order + 1)
             )
+
+
+def tight_barrier(direction, level, order):
+    """The least barrier at which every path of length <= order ending at
+    `level` fits: top is the longest such length, and an LR path of length
+    top > level needs a down-step, while an RL path climbs at most
+    top + level - 1."""
+    top = order - (order - level) % 2
+    if direction is Direction.LR:
+        return top - 1 if top > level else level
+    return top + level - 1 if top >= 1 else level
 
 
 class TestStabilized:
@@ -588,6 +606,34 @@ class TestStabilized:
         stabilized(direction, level, order)
         assert set(streams.values()) == {1}
         assert 0 < len(calls) <= per_pass * (h + 3)
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("level", range(9))
+    def test_exact_at_proved_barrier(self, direction, level):
+        # the lemma in `stabilized`: the quotient is the limit at the tight
+        # barrier h*, at every barrier above it, and at none below it
+        quot = bounded_f if direction is Direction.LR else bounded_g
+        for order in range(40):
+            limit = stabilized(direction, level, order)
+            h_star = tight_barrier(direction, level, order)
+            for h in (h_star, order + level + 1, order + level + 5):
+                assert quot(level, h, order) == limit, (order, h)
+            if h_star - 1 >= level:
+                assert quot(level, h_star - 1, order) != limit, order
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("level", [0, 1, 5])
+    def test_one_division(self, monkeypatch, direction, level):
+        calls = []
+        divide = strip.divide
+
+        def counting_divide(*args):
+            calls.append(1)
+            return divide(*args)
+
+        monkeypatch.setattr(strip, "divide", counting_divide)
+        stabilized(direction, level, 30)
+        assert len(calls) == 1
 
     def test_monotone_in_barrier(self):
         for level in (0, 1, 3):
