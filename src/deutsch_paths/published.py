@@ -1,10 +1,12 @@
 """Series tables as printed in the published source, with known errata.
 
-The printed left-to-right lists were evidently produced under a finite
-barrier (h around 7): every coefficient at order >= 9 falls short of the
-true unbounded value.  The right-to-left lists are exact apart from the
-level-0 list (which repeats the left-to-right one) and a single typo at
-[z^11] of level 3.  ``printed_deviations`` recomputes the full diff against
+The printed left-to-right lists, and the level-0 right-to-left list that
+repeats f_0, are exactly the strip counts at barrier h = 7: every entry
+equals `dp_counts(LR, 16, 7)` and `bounded_f(k, 7, 16)`, and no other
+barrier reproduces them (the tests prove both), so every f coefficient at
+order >= 9 falls short of the true unbounded value.  The other
+right-to-left lists are exact apart from a single typo at [z^11] of
+level 3.  ``printed_deviations`` recomputes the full diff against
 the closed-form counts; ``DOCUMENTED_DEVIATIONS`` is the frozen expected
 diff, so any drift in either direction is caught.
 """

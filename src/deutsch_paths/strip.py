@@ -8,8 +8,10 @@ the barrier h = order + level, which `stabilized` proves exact.
 
 The Cramer route computes in x = z^2: the determinants d_m and the terms
 a_n are polynomials in x, and b_n is z^(n mod 2) times one, so every
-quotient is z^(level mod 2) times a series in x.  It streams, multiplies and
-divides integer coefficient lists in x and builds one ZSeries at the end.
+quotient is z^(level mod 2) times a series in x.  It takes each term it
+needs from that term's binomial sum (`_term`), whatever the barrier, then
+multiplies and divides integer coefficient lists in x and builds one
+ZSeries at the end; the recurrences (`_sequence`) serve `sequence_terms`.
 The banded solve computes on coefficient lists in z too, and the direct
 determinants on integers: a ZSeries is only the value a route returns.
 The RL numerator is two products: b_n = b_{n-2} + z b_{n-3} folds the
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import count
-from math import prod
+from math import comb, prod
 from typing import Callable, ContextManager, Iterator, Optional
 
 from .errors import ConsistencyError
@@ -200,16 +202,48 @@ def _sequence(name: str, cap: int) -> Iterator[list[int]]:
         u3, u2, u1 = u2, u1, nxt
 
 
+def _term(name: str, n: int, cap: int) -> list[int]:
+    """Term n >= 0 of a_n ("a"), beta_n ("b") or d_m ("d") as a coefficient
+    list in x = z^2, truncated at x^cap and trimmed to its true length, by
+    its binomial sum instead of the recurrence that leads up to it.
+
+    [x^j] a_n = (-1)^j C(n - 2j, j), from 1/(1 - X + x X^3), and
+    d_m = a_{m+1}.  From 1/(1 - Y^2 - z Y^3), b_n is the sum over
+    2i + 3j = n of C(i + j, j) z^j, so [x^e] beta_n = C((n - 3j)/2 + j, j)
+    with j = 2e + (n mod 2), while n - 3j >= 0.  Each is C(top, bottom)
+    on a walk that moves (top, bottom) by (-2, +1) for a and by (-1, +2)
+    for beta: one `comb`, then per coefficient one exact multiply-divide by
+    the ratio of neighbouring binomials, its remainder checked.  Every
+    binomial on the walk is positive, so no coefficient in the window is
+    zero.  O(min(cap, n/3)) steps, whatever the barrier.
+    """
+    if name == "b":
+        bottom = n % 2
+        top, dtop, sign = (n - bottom) // 2, 1, 1
+    else:
+        top, bottom, dtop, sign = n + (name == "d"), 0, 2, -1
+    size = min(cap, (top - bottom) // 3) + 1  # top - bottom = n - 3j
+    if size <= 0:
+        return []
+    c = comb(top, bottom)
+    out = [c]
+    for _ in range(size - 1):
+        r = top - bottom
+        # C(top - dtop, bottom + 3 - dtop) = C(top, bottom) r (r-1) (r-2) / den;
+        # sign -1 alternates a's coefficients
+        den = top * (top - 1 if dtop == 2 else bottom + 2) * (bottom + 1)
+        c, rem = divmod(c * (sign * r * (r - 1) * (r - 2)), den)
+        if rem:
+            raise ConsistencyError(f"{name}_{n}: a binomial ratio left remainder {rem}")
+        out.append(c)
+        top, bottom = top - dtop, bottom + 3 - dtop
+    return out
+
+
 def _terms(wanted: set[tuple[str, int]], cap: int) -> dict[tuple[str, int], list[int]]:
     """The sequence terms in `wanted`, as (name, index) pairs with index >= 0,
-    from one streaming pass per sequence that keeps only the wanted terms."""
-    out = {}
-    for name in {name for name, _ in wanted}:
-        indices = {j for nm, j in wanted if nm == name}
-        for j, term in zip(range(max(indices) + 1), _sequence(name, cap)):
-            if j in indices:
-                out[name, j] = term
-    return out
+    one binomial walk (`_term`) each."""
+    return {(name, n): _term(name, n, cap) for name, n in wanted}
 
 
 def _cap(order: int, parity: int) -> int:
@@ -257,8 +291,9 @@ def _evaluate(numerator: list[tuple[int, tuple]], terms: dict, cap: int) -> list
 
 def _cramer(direction: Direction, level: int, h: int, order: int) -> ZSeries:
     """The Cramer quotient numerator / d_{h+1} of `level` at barrier h, with
-    every sequence term it needs taken from one pass per sequence.  The
-    quotient is z^(level mod 2) times a series in x, divided in x."""
+    every sequence term it needs taken from one binomial walk (`_terms`), so
+    its cost does not grow with h.  The quotient is z^(level mod 2) times a
+    series in x, divided in x."""
     parity = level % 2
     cap = _cap(order, parity)
     numerator = _numerator(direction, level, h + 1)

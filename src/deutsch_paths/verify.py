@@ -66,7 +66,7 @@ def suite_dp_closed(nmax: int) -> SuiteReport:
         for i in range(min(n, 12) + 1)
         if closed.count_rl_closed(n, i) != rl.count(n, i)
     ]
-    rep.add(f"RL closed form == DP (n<={rl_nmax}, i<=12)", not bad, f"first mismatch {bad[:1]}")
+    rep.add(f"RL closed form == DP (n<={rl_nmax}, i<={min(rl_nmax, 12)})", not bad, f"first mismatch {bad[:1]}")
     bad = [n for n in range(41) if closed.count_lr_closed(2 * n, 0) != closed.cat3(n)]
     rep.add("generalized Catalan identity (N<=40)", not bad, f"first mismatch {bad[:1]}")
     bad = [

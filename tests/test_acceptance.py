@@ -61,6 +61,25 @@ def test_criterion_2_published_series_vectors():
     report("criterion 2: printed series vectors and documented deviations", ok)
 
 
+def test_printed_lr_lists_are_strip_counts_at_h7():
+    # every printed f list, and g_0 (a copy of f_0), is the strip count at
+    # barrier 7, by the DP and by Cramer; up to z^16 a barrier h >= 16
+    # counts as unbounded, so no other barrier gives them
+    printed = list(published.PRINTED_F.items())
+    printed.append((0, published.PRINTED_G[0]))
+
+    def reproduces(h):
+        counts = dp_counts(Direction.LR, 16, height=h)
+        return all(counts.count(n, k) == v for k, table in printed for n, v in table.items())
+
+    assert [h for h in range(17) if reproduces(h)] == [7]
+    for k, table in printed:
+        f = bounded_f(k, 7, 16)
+        assert all(f[n] == v for n, v in table.items()), k
+    g0 = bounded_g(0, 7, 16)
+    assert all(g0[n] == v for n, v in published.PRINTED_G[0].items())
+
+
 def test_criterion_3_three_way_equality():
     order = 20
     ok = True

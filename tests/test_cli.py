@@ -158,6 +158,14 @@ class TestSeries:
         assert code == 0
         assert out.strip() == "1 0 1 0 1 0 1 0 1"
 
+    def test_far_level(self, capsys):
+        # [z^3] for odd L: three odd up-steps, C((L+1)/2, 2) ways; two
+        # up-steps and a -1 after the first, L + 1 ways; one up-step, -1, -1
+        code, out = run(
+            capsys, "series", "--direction", "rl", "--level", "1000000001", "--order", "4"
+        )
+        assert (code, out.strip()) == (0, "0 1 0 125000001250000003 0")
+
     def test_level_above_height(self, capsys):
         code = main(["series", "--level", "3", "--order", "4", "--height", "1"])
         assert code == 2
@@ -206,6 +214,13 @@ class TestVerify:
     def test_dp_closed_suite(self, capsys):
         code, out = run(capsys, "verify", "--suite", "dp-closed", "--nmax", "20")
         assert code == 0
+
+    def test_dp_closed_label_states_checked_levels(self, capsys):
+        # the RL check covers levels i <= min(n, 12), so at nmax 5 only i <= 5
+        code, out = run(capsys, "verify", "--suite", "dp-closed", "--nmax", "5", "--format", "json")
+        assert code == 0
+        names = [c["name"] for c in json.loads(out)["suites"][0]["checks"]]
+        assert names[1] == "RL closed form == DP (n<=5, i<=5)"
 
     def test_catalan_mismatch_is_exit1(self, capsys, monkeypatch):
         # the binomial-difference form of cat3(10) off by one, and only it

@@ -3,7 +3,7 @@
 import builtins
 import decimal
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations
 
 import pytest
@@ -427,6 +427,29 @@ class TestSequences:
             assert (streams, steps) == ([name], 28)
 
 
+class TestBinomialTerms:
+    # the Cramer route's terms, walked by their binomial sums, against the
+    # recurrence streams that `sequence_terms` still runs
+    @pytest.mark.parametrize("cap", [0, 1, 5, 7, 40])
+    def test_match_recurrence_streams(self, cap):
+        for name in ("a", "b", "d"):
+            for n, ref in zip(range(120), strip._sequence(name, cap)):
+                term = strip._term(name, n, cap)
+                assert term == ref, (name, n)
+                # trimmed, never padded to cap + 1: `divide` costs
+                # len(num) x len(den); d_m is a_(m+1)
+                assert len(term) <= min(cap, (n + (name == "d")) // 3) + 1, (name, n)
+                assert not term or term[-1], (name, n)
+
+    def test_inexact_ratio_raises(self, monkeypatch):
+        def leaves_a_remainder(a, b):
+            return builtins.divmod(a, b)[0], 1
+
+        monkeypatch.setattr(strip, "divmod", leaves_a_remainder, raising=False)
+        with pytest.raises(ConsistencyError, match=r"^d_\d+: a binomial ratio left remainder 1$"):
+            stabilized(Direction.LR, 0, 20)
+
+
 class TestDeterminants:
     def test_d_small(self):
         assert det_d(2, 4) == zs(1, 0, -1, 0, 0)
@@ -582,30 +605,50 @@ class TestStabilized:
                 limit = stabilized(direction, level, order)
                 assert limit == quot(level, h, order) == quot(level, h + 1, order)
 
-    @pytest.mark.parametrize("direction, per_pass", [(Direction.LR, 1), (Direction.RL, 2)])
+    @pytest.mark.parametrize("direction, factors", [(Direction.LR, 1), (Direction.RL, 2)])
     @pytest.mark.parametrize("level", [0, 1, 5])
-    def test_one_recurrence_pass(self, monkeypatch, direction, per_pass, level):
-        # per_pass sequences (d, and a for RL) run to about h; b only runs
-        # to the level.  Every recurrence step, of every sequence, is one
-        # _step call, and each sequence is streamed once.
-        calls, streams = [], Counter()
-        step, sequence = strip._step, strip._sequence
+    def test_one_recurrence_pass(self, monkeypatch, direction, factors, level):
+        # The Cramer route takes no recurrence step: every sequence term a
+        # quotient or numerator needs is one binomial walk (`_term`), and
+        # only those.  A numerator term at level >= 1 is a product of
+        # `factors` sequence terms: d_{m-1-k} for LR, beta_q a_{m-q} for RL.
+        walks = Counter()
+        term = strip._term
 
-        def counting_step(*args):
-            calls.append(1)
-            return step(*args)
+        def counting_term(name, n, cap):
+            walks[name, n] += 1
+            return term(name, n, cap)
 
-        def counting_sequence(name, cap):
-            streams[name] += 1
-            return sequence(name, cap)
+        def no_recurrence(*args):
+            raise AssertionError("the Cramer route took a recurrence step")
 
-        monkeypatch.setattr(strip, "_step", counting_step)
-        monkeypatch.setattr(strip, "_sequence", counting_sequence)
+        monkeypatch.setattr(strip, "_term", counting_term)
+        monkeypatch.setattr(strip, "_step", no_recurrence)
+        monkeypatch.setattr(strip, "_sequence", no_recurrence)
+
+        def numerator_terms(h):
+            m = h + 1
+            if direction is Direction.LR:
+                return {("d", m - 1 - level)}
+            if level == 0:
+                return {("d", m - 1)}
+            q = level + 1
+            return {("b", q), ("a", m - q), ("b", q - 1), ("a", m - q - 1)}
+
         order = 100
-        h = order + level + 2
-        stabilized(direction, level, order)
-        assert set(streams.values()) == {1}
-        assert 0 < len(calls) <= per_pass * (h + 3)
+        quot = bounded_f if direction is Direction.LR else bounded_g
+        calls = [
+            (partial(stabilized, direction, level, order), order + level, True),
+            (partial(quot, level, level + 7, order), level + 7, True),
+        ]
+        if direction is Direction.RL:
+            calls.append((partial(delta, order + level + 1, level + 1, order), order + level, False))
+        for call, h, divides in calls:
+            walks.clear()
+            call()
+            wanted = numerator_terms(h) | ({("d", h + 1)} if divides else set())
+            assert walks == Counter(wanted), call
+            assert len({name for name, _ in numerator_terms(h)}) == (factors if level else 1)
 
     @pytest.mark.parametrize("direction", list(Direction))
     @pytest.mark.parametrize("level", range(9))
@@ -620,6 +663,16 @@ class TestStabilized:
                 assert quot(level, h, order) == limit, (order, h)
             if h_star - 1 >= level:
                 assert quot(level, h_star - 1, order) != limit, order
+
+    @pytest.mark.parametrize("level", [2001, 2002])
+    def test_far_level(self, level):
+        # the barrier is order + level, and no term's cost grows with it
+        assert stabilized(Direction.RL, level, 9).coeffs == tuple(
+            count_rl_closed(n, level) for n in range(10)
+        )
+
+    def test_far_height(self):
+        assert bounded_f(0, 200000, 4) == bounded_f(0, 4, 4)
 
     @pytest.mark.parametrize("direction", list(Direction))
     @pytest.mark.parametrize("level", [0, 1, 5])
@@ -694,7 +747,7 @@ def test_negative_order_fails_before_any_work(monkeypatch, name):
     def no_work(*args, **kwargs):
         raise AssertionError(f"{name} started work on a negative order")
 
-    for helper in ("_sequence", "_terms", "_system_matrix", "_bareiss", "poly_mul", "divide"):
+    for helper in ("_sequence", "_terms", "_term", "_system_matrix", "_bareiss", "poly_mul", "divide"):
         monkeypatch.setattr(strip, helper, no_work)
     with pytest.raises(ValueError, match="^order must be nonnegative$"):
         NEGATIVE_ORDER_CALLS[name]()
