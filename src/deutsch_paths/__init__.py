@@ -26,6 +26,7 @@ from .strip import (
     bounded_f,
     bounded_g,
     delta,
+    deltas_direct,
     det_d,
     det_direct,
     dp_counts,

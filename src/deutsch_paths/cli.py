@@ -92,17 +92,33 @@ def _chunked(pieces: Iterable[str]) -> Iterator[str]:
 
 def _digits(value: str) -> int | None:
     """`value` as an int if it is plain ASCII digits, else None: int() also
-    takes signs, spaces, underscores and non-ASCII digits."""
-    if value.isascii() and value.isdigit():
-        with contextlib.suppress(ValueError):  # past the int-to-str digit limit
-            return int(value)
-    return None
+    takes signs, spaces, underscores and non-ASCII digits.  Digits past the
+    interpreter's int-to-str limit raise ValueError, whose message names
+    the limit."""
+    if not (value.isascii() and value.isdigit()):
+        return None
+    try:
+        return int(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(
+            f"at most {limit} digits (the interpreter's int-to-str limit), "
+            f"got {len(value)} digits: {_shown(value)}"
+        ) from None
+
+
+def _shown(value: str) -> str:
+    """`value` for an error message: its repr, cut after 20 characters."""
+    return repr(value) if len(value) <= 20 else f"{value[:20]!r}..."
 
 
 def _nonneg(value: str) -> int:
-    n = _digits(value)
+    try:
+        n = _digits(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer of {exc}") from None
     if n is None:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value!r}")
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {_shown(value)}")
     return n
 
 
@@ -110,12 +126,16 @@ def _budget() -> int:
     raw = os.environ.get("DEUTSCH_BUDGET")
     if raw is None:
         return oracle.DEFAULT_BUDGET
-    budget = _digits(raw)
+    try:
+        budget = _digits(raw)
+        negative = raw.startswith("-") and _digits(raw[1:]) is not None
+    except ValueError as exc:
+        raise UsageError(f"DEUTSCH_BUDGET must be an integer of {exc}") from None
     if budget is not None:
         return budget
-    if raw.startswith("-") and _digits(raw[1:]) is not None:
-        raise UsageError(f"DEUTSCH_BUDGET must be nonnegative, got {raw}")
-    raise UsageError(f"DEUTSCH_BUDGET must be an integer, got {raw!r}")
+    if negative:
+        raise UsageError(f"DEUTSCH_BUDGET must be nonnegative, got {_shown(raw)}")
+    raise UsageError(f"DEUTSCH_BUDGET must be an integer, got {_shown(raw)}")
 
 
 def cmd_triangle(args: argparse.Namespace) -> tuple[int, Iterator[str]]:

@@ -78,10 +78,16 @@ def g_closed(i: int) -> GClosedForm:
     """
     if i < 0:
         raise ValueError("level must be nonnegative")
+    return _g_pieces(i, 0)
+
+
+def _g_pieces(i: int, k_min: int) -> GClosedForm:
+    """The pieces of g_i (i >= 0) for k >= k_min, that is with z-shift
+    i - 2k <= i - 2 k_min; g_0 is its one piece f_0."""
     if i == 0:
         return GClosedForm((f_closed(0),))
     pieces: list[TRational] = []
-    for k in range(i // 2 + 1):
+    for k in range(k_min, i // 2 + 1):
         numer = IntPoly((binom(i - 1 - k, k), binom(i - 1 - k, k - 1)))
         if not numer.is_zero():
             pieces.append(TRational(numer, pow1t=2 * i + 1 - 3 * k, zshift=i - 2 * k))
@@ -89,10 +95,14 @@ def g_closed(i: int) -> GClosedForm:
 
 
 def count_rl_closed(n: int, i: int) -> int:
-    """RL paths of length n ending at level i, from the closed form."""
+    """RL paths of length n ending at level i, from the closed form: only
+    the pieces of g_i with z-shift i - 2k <= n reach [z^n], so k starts at
+    (i - n)/2 and a far level builds O(n) pieces, not O(i)."""
     if n < 0 or i < 0:
         raise ValueError("n and i must be nonnegative")
-    return g_closed(i).coefficient(n)
+    if (n - i) % 2:
+        return 0
+    return _g_pieces(i, max(0, (i - n) // 2)).coefficient(n)
 
 
 # ---------------------------------------------------------------------------

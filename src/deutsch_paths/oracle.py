@@ -5,7 +5,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from functools import cache
+from itertools import chain
+from typing import Iterator, Optional
 
 from .errors import VerificationFailure
 from .strip import Direction
@@ -41,34 +43,51 @@ def _steps(direction: Direction, level: int, cap: int) -> Iterator[int]:
 
 
 def _walk(direction: Direction, n: int, height: Optional[int], top: int,
-          budget: int, visit: Callable[[list[int]], None]) -> None:
-    """Call visit(c_0..c_n) on every path of length n that stays in the strip
-    [0, height] (if given) and ends at a level <= top.
+          budget: int) -> Iterator[list[tuple[int, ...]]]:
+    """Every path c_0..c_n of length n that stays in the strip [0, height]
+    (if given) and ends at a level <= top, as tuples in depth-first order,
+    yielded one list per prefix c_0..c_{n-2}: one comprehension appends to
+    the prefix each of its last two steps that `tail` keeps for its level.
+    The steps from a (level, position) and the tails of a level are each
+    computed once.  The prefixes wait on a stack, so the walk holds O(n^2)
+    prefixes and one list of paths, never a whole level of the tree.  The
+    arguments are checked when the first list is asked for.
 
     Pruning lemma: an RL path's only down-step is -1, so from level l with r
     steps left it ends at a level >= l - r.  An RL up-step at position pos
-    (r = n - pos - 1 steps after it) is thus taken only up to top + r.  LR
-    paths are not pruned: their odd down-steps can drop any distance.
+    (r = n - pos - 1 steps after it) is thus taken only up to top + r.  An
+    LR path is pruned at its final step only, to the levels <= top: its odd
+    down-steps can drop any distance before that.
     """
     if n < 0 or (height is not None and height < 0):
         raise ValueError("length and height must be nonnegative")
     if n > budget:
         raise ValueError(f"length {n} exceeds enumeration budget {budget}")
     rl = direction is Direction.RL
-    path = [0]
+    last = n - min(n, 2)  # the position each list's prefix ends at
 
-    def walk(pos: int, level: int) -> None:
-        if pos == n:
-            if level <= top:
-                visit(path)
-            return
+    @cache
+    def after(level: int, pos: int) -> tuple[int, ...]:
+        """The levels the step after position pos may reach from `level`."""
         cap = top + n - pos - 1 if rl else n
-        for nxt in _steps(direction, level, cap if height is None else min(cap, height)):
-            path.append(nxt)
-            walk(pos + 1, nxt)
-            path.pop()
+        return tuple(_steps(direction, level, cap if height is None else min(cap, height)))
 
-    walk(0, 0)
+    @cache
+    def tail(level: int) -> tuple[tuple[int, ...], ...]:
+        """The steps after position `last` from `level` that end <= top."""
+        ends = [((), level)]
+        for pos in range(last, n):
+            ends = [(end + (nxt,), nxt) for end, at in ends for nxt in after(at, pos)]
+        return tuple(end for end, at in ends if at <= top)
+
+    stack = [(0,)]
+    while stack:
+        path = stack.pop()
+        pos = len(path) - 1
+        if pos < last:
+            stack.extend([path + (nxt,) for nxt in reversed(after(path[-1], pos))])
+        elif ends := tail(path[-1]):
+            yield [path + end for end in ends]
 
 
 def enumerate_paths(
@@ -86,14 +105,9 @@ def enumerate_paths(
     """
     by_level: Counter[int] = Counter()
     total_area = 0
-
-    def visit(path: list[int]) -> None:
-        nonlocal total_area
-        by_level[path[-1]] += 1
-        if path[-1] == 0:
-            total_area += sum(path)
-
-    _walk(Direction(direction), n, height, n if height is None else height, budget, visit)
+    for paths in _walk(Direction(direction), n, height, n if height is None else height, budget):
+        by_level.update(path[-1] for path in paths)
+        total_area += sum(sum(path) for path in paths if path[-1] == 0)
     return OracleReport(dict(by_level), total_area)
 
 
@@ -103,9 +117,7 @@ def generate_closed(
     """All closed paths of length n as ordinate tuples c_0..c_n.  By the lemma
     of _walk an RL path closes only if its level l <= r, the steps left, so
     an RL up-step to nxt > n - pos - 1 is skipped."""
-    out: list[tuple[int, ...]] = []
-    _walk(Direction(direction), n, None, 0, budget, lambda path: out.append(tuple(path)))
-    return out
+    return list(chain.from_iterable(_walk(Direction(direction), n, None, 0, budget)))
 
 
 def reverse_check(n: int, budget: int = DEFAULT_BUDGET) -> dict[str, int]:
@@ -115,7 +127,7 @@ def reverse_check(n: int, budget: int = DEFAULT_BUDGET) -> dict[str, int]:
         raise ValueError("closed paths have even length")
     lr = generate_closed(Direction.LR, n, budget=budget)
     rl = generate_closed(Direction.RL, n, budget=budget)
-    reversed_lr = {tuple(reversed(p)) for p in lr}
+    reversed_lr = {p[::-1] for p in lr}
     if len(reversed_lr) != len(lr):
         raise VerificationFailure(f"reversal is not injective at n={n}")
     if reversed_lr != set(rl):

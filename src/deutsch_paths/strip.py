@@ -367,56 +367,75 @@ def _system_matrix(direction: Direction, m: int) -> list[list[tuple[int, ...]]]:
     return lr if direction is Direction.LR else [list(row) for row in zip(*lr)]
 
 
-def _bareiss(mat: list[list[list[int]]]) -> list[int]:
+def _bareiss(mat: list[list], rhs: Optional[list] = None) -> list:
     """Determinant of a square matrix over Z[z] (entries are coefficient
     lists, lowest power first), as a trimmed list, by fraction-free
     (Bareiss) elimination on the entries' integer values at z = 2^B.
 
-    The determinant's absolute coefficients sum to at most the product over
-    rows of each row's absolute coefficient sum (expand it over
-    permutations); B is one bit longer than that product, so every
-    coefficient is a balanced base-2^B digit of the integer determinant.
-    Its degree is at most the sum of each row's largest entry degree, which
-    bounds the digit loop; a digit left over (B too small) is a ConsistencyError.
+    With `rhs`, a column of m entries, the elimination runs on the matrix
+    augmented by it and also clears the entries above each pivot
+    (fraction-free Gauss-Jordan), and it returns instead the m trimmed
+    lists adj(mat) rhs: entry q is det(mat) x_q where mat x = rhs, the
+    determinant with column q replaced by rhs (Cramer's rule).  After the
+    last step every diagonal entry is the determinant and the augmented
+    column is that vector; a singular matrix is a ValueError.
 
-    Step r sets each entry below and right of the pivot to (a p - b c) /
-    prev, with p the pivot, b and c the entries in its column and row, and
-    prev the previous pivot; Sylvester's identity makes the division exact,
-    and its remainder is checked.  A zero pivot swaps in the first row below
-    with a nonzero entry in its column, flipping the sign; with no such row
-    the determinant is zero.  The empty matrix has determinant 1.
+    Each result's absolute coefficients sum to at most the product over
+    rows of each row's absolute coefficient sum, rhs entry included (expand
+    it over permutations); B is one bit longer than that product, so every
+    coefficient is a balanced base-2^B digit of the integer result.  Its
+    degree is at most the sum of each row's largest entry degree, which
+    bounds the digit loop; a digit left over (B too small) is a
+    ConsistencyError.
+
+    Step r sets each entry right of the pivot, in every row below it (and
+    above it, with rhs), to (a p - b c) / prev, with p the pivot, b and c
+    the entries in its column and row, and prev the previous pivot;
+    Sylvester's identity makes the division exact, and its remainder is
+    checked.  A zero pivot swaps in the first row below with a nonzero entry
+    in its column, flipping the sign; with no such row the determinant is
+    zero.  The empty matrix has determinant 1.
     """
     m = len(mat)
     if m == 0:
-        return [1]
+        return [1] if rhs is None else []
+    if rhs is not None:
+        mat = [[*row, e] for row, e in zip(mat, rhs)]
     degree = sum(max(len(e) for e in row) - 1 for row in mat)
     bits = prod(sum(abs(c) for e in row for c in e) for row in mat).bit_length() + 1
     mat = [[sum(c << (bits * k) for k, c in enumerate(e)) for e in row] for row in mat]
+    width = len(mat[0])
     sign = 1
     prev = 1
-    for r in range(m - 1):
+    for r in range(m):
         if not mat[r][r]:
             swap = next((i for i in range(r + 1, m) if mat[i][r]), None)
             if swap is None:
+                if rhs is not None:
+                    raise ValueError("singular matrix: no adjugate column")
                 return []
             mat[r], mat[swap] = mat[swap], mat[r]
             sign = -sign
         pivot, pivot_row = mat[r][r], mat[r]
-        for row in mat[r + 1:]:
+        for row in mat[r + 1:] if rhs is None else mat[:r] + mat[r + 1:]:
             b = row[r]
-            for j in range(r + 1, m):
+            for j in range(r + 1, width):
                 row[j], rem = divmod(row[j] * pivot - b * pivot_row[j], prev)
                 if rem:
                     raise ConsistencyError("Bareiss division was not exact")
         prev = pivot
-    det, half = sign * mat[-1][-1], 1 << (bits - 1)
-    coeffs = []
-    while det and len(coeffs) <= degree:
-        det, digit = divmod(det + half, 2 * half)
-        coeffs.append(digit - half)
-    if det:
-        raise ConsistencyError(f"Bareiss determinant has more than {degree + 1} digits")
-    return coeffs
+    half = 1 << (bits - 1)
+    polys = []
+    for value in [mat[-1][-1]] if rhs is None else [row[-1] for row in mat]:
+        value *= sign
+        coeffs = []
+        while value and len(coeffs) <= degree:
+            value, digit = divmod(value + half, 2 * half)
+            coeffs.append(digit - half)
+        if value:
+            raise ConsistencyError(f"Bareiss determinant has more than {degree + 1} digits")
+        polys.append(coeffs)
+    return polys[0] if rhs is None else polys
 
 
 def det_direct(m: int, order: int, q: Optional[int] = None) -> ZSeries:
@@ -425,10 +444,12 @@ def det_direct(m: int, order: int, q: Optional[int] = None) -> ZSeries:
     truncated at z^order.
 
     With q=None this is the LR matrix (checks det_d); with 1 <= q <= m it is
-    the transposed (RL) matrix with column q replaced by e_1 (checks delta).
-    A direct elimination, independent of the recurrences it checks: O(m^3)
-    entry updates, each two products and a checked exact division of
-    integers of O(m B) bits, B = O(m log m) bits per coefficient.
+    Delta_{m,q}, the transposed (RL) matrix with column q replaced by e_1
+    (checks delta), taken from `deltas_direct`: the one elimination that
+    gives every q.  A direct elimination, independent of the recurrences it
+    checks: O(m^3) entry updates, each two products and a checked exact
+    division of integers of O(m B) bits, B = O(m log m) bits per
+    coefficient.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -436,11 +457,22 @@ def det_direct(m: int, order: int, q: Optional[int] = None) -> ZSeries:
         raise ValueError(f"need 1 <= q <= m, got q={q}")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    mat = _system_matrix(Direction.LR if q is None else Direction.RL, m)
     if q is not None:
-        for i in range(m):
-            mat[i][q - 1] = (1,) if i == 0 else ()
-    return place(_bareiss(mat), order)
+        return deltas_direct(m, order)[q - 1]
+    return place(_bareiss(_system_matrix(Direction.LR, m)), order)
+
+
+def deltas_direct(m: int, order: int) -> list[ZSeries]:
+    """Delta_{m,1}..Delta_{m,m}, truncated at z^order, from one elimination
+    (`_bareiss`) of the RL matrix A augmented by e_1.  Delta_{m,q}, the
+    determinant of A with column q replaced by e_1, is the cofactor C_{1,q}
+    = det(A) x_q where A x = e_1: the first column of adj(A)."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    e1 = [(1,) if i == 0 else () for i in range(m)]
+    return [place(c, order) for c in _bareiss(_system_matrix(Direction.RL, m), e1)]
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +514,10 @@ def solve_system(direction: Direction | str, h: int, order: int) -> list[ZSeries
     Returns the full vector (f_0..f_h) or (g_0..g_h), eliminating on
     coefficient lists of length order+1; every pivot has constant term 1,
     so its inverse (`divide`) and the elimination never leave the integers.
+    The band leaves most entries zero, and a product with an all-zero
+    operand is never formed: the pivot-row scaling keeps a zero entry, the
+    elimination keeps an entry whose pivot-row partner is zero, and back
+    substitution skips a zero coefficient or a zero solution entry.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
@@ -494,19 +530,21 @@ def solve_system(direction: Direction | str, h: int, order: int) -> list[ZSeries
            for i, row in enumerate(_system_matrix(Direction(direction), m))]
 
     def minus_product(acc: list[int], u: list[int], v: list[int]) -> list[int]:
+        """acc - u v, or acc itself when u or v is all zero."""
+        if not (any(u) and any(v)):
+            return acc
         return shifted_sum(acc, poly_mul(u, v, order), sign=-1, cap=order)
 
     for r in range(m):
         if mat[r][r][0] not in (1, -1):
             raise ConsistencyError("elimination pivot lost its unit constant term")
         pinv = divide(one, mat[r][r])
-        mat[r] = [poly_mul(e, pinv, order) for e in mat[r]]
+        mat[r] = [poly_mul(e, pinv, order) if any(e) else e for e in mat[r]]
         for i in range(r + 1, m):
             if any(factor := mat[i][r]):
                 mat[i] = [minus_product(a, factor, b) for a, b in zip(mat[i], mat[r])]
     # back substitution, each solution entry replacing its row's column m
     for i in range(m - 2, -1, -1):
         for j in range(i + 1, m):
-            if any(mat[i][j]):
-                mat[i][m] = minus_product(mat[i][m], mat[i][j], mat[j][m])
+            mat[i][m] = minus_product(mat[i][m], mat[i][j], mat[j][m])
     return [ZSeries(tuple(row[m])) for row in mat]

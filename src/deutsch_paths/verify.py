@@ -18,6 +18,7 @@ from .strip import (
     bounded_f,
     bounded_g,
     delta,
+    deltas_direct,
     det_d,
     det_direct,
     dp_counts,
@@ -105,10 +106,10 @@ def suite_cramer() -> SuiteReport:
 
     ok = all(det_d(m, order) == det_direct(m, order) for m in range(m_max + 1))
     rep.add(f"d_m == direct determinant (m<={m_max})", ok)
+    # every Delta_(m,q), q = 1..m, from one elimination per m
     ok = all(
-        delta(m, q, order) == det_direct(m, order, q=q)
+        [delta(m, q, order) for q in range(1, m + 1)] == deltas_direct(m, order)
         for m in range(1, m_max + 1)
-        for q in range(1, m + 1)
     )
     rep.add(f"Delta_(m,q) == direct determinant (m<={m_max})", ok)
     # each from its own stream: d keeps its own initial terms 1, 1, 1 - x

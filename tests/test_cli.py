@@ -511,6 +511,35 @@ class TestDigitLimit:
         assert exc.value.code == 2
         assert "must be a nonnegative integer" in capsys.readouterr().err
 
+    def test_too_many_digits_names_the_limit(self, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started on a rejected argument")
+
+        monkeypatch.setattr(cli, "stabilized", no_work)
+        with digit_limit(4300):
+            with pytest.raises(SystemExit) as exc:
+                main(["series", "--level", "0", "--order", "1" + "0" * 4300])
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert exc.value.code == 2
+        assert err == (
+            "deutsch-paths series: error: argument --order: must be a nonnegative integer "
+            "of at most 4300 digits (the interpreter's int-to-str limit), got 4301 digits: "
+            "'10000000000000000000'..."
+        )
+
+    @pytest.mark.parametrize("raw", ["9" * 5000, "-" + "9" * 5000])
+    def test_too_long_budget_names_the_limit(self, capsys, monkeypatch, raw):
+        monkeypatch.setattr(verify, "run_suites", lambda *a, **k: pytest.fail("suites ran"))
+        monkeypatch.setenv("DEUTSCH_BUDGET", raw)
+        with digit_limit(4300):
+            code = main(["verify", "--suite", "paper-lists"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            "error: DEUTSCH_BUDGET must be an integer of at most 4300 digits (the "
+            "interpreter's int-to-str limit), got 5000 digits: '99999999999999999999'...\n"
+        )
+
 
 class TestParserReuse:
     def test_main_builds_one_parser(self, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Closed forms: binomial counts, Catalan identity, g rationalization, area."""
 
+import time
 from math import comb
 
 import pytest
@@ -215,6 +216,39 @@ class TestCountRlClosed:
         for n in range(31):
             for i in range(min(n, 12) + 1):
                 assert count_rl_closed(n, i) == table.count(n, i)
+
+    def test_matches_all_pieces(self):
+        for i in range(41):
+            g = g_closed(i)
+            for n in range(61):
+                assert count_rl_closed(n, i) == g.coefficient(n), (n, i)
+
+    @pytest.mark.parametrize("level", [2001, 2002])
+    def test_far_level_builds_reachable_pieces(self, monkeypatch, level):
+        # a piece is two binomials; only the k >= (level - n)/2 reach [z^n]
+        calls = 0
+
+        def counting(n, k):
+            nonlocal calls
+            calls += 1
+            return binom(n, k)
+
+        monkeypatch.setattr(closed, "binom", counting)
+        for n in range(10):
+            calls = 0
+            count_rl_closed(n, level)
+            assert calls == (0 if (n - level) % 2 else 2 * (n // 2 + 1)), n
+
+    def test_far_level_is_fast(self):
+        # TestStabilized.test_far_level's reference: about 1 s per level
+        # when every piece of g_2001 was built
+        def far_levels():
+            start = time.perf_counter()
+            for level in (2001, 2002):
+                [count_rl_closed(n, level) for n in range(10)]
+            return time.perf_counter() - start
+
+        assert min(far_levels() for _ in range(3)) < 0.1
 
     @given(st.integers(0, 24), st.integers(0, 10))
     def test_parity_vanishing(self, n, i):

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from deutsch_paths.closed import cat3
+from deutsch_paths import oracle
 from deutsch_paths.errors import VerificationFailure
 from deutsch_paths.oracle import (
     area_check,
@@ -124,6 +125,62 @@ class TestPruningAgainstRawSteps:
         for n in range(9):
             ref = sorted(_raw_paths(direction, n, None, 0))
             assert sorted(generate_closed(direction, n)) == ref, n
+
+
+def reference_walk(direction, n, height, top, budget, visit):
+    """The walker as a recursion over one list: visit(c_0..c_n) on every
+    path of length n in the strip [0, height] (if given) that ends at a
+    level <= top, with the RL up-steps pruned to top + r (r steps left) and
+    no LR step pruned."""
+    if n < 0 or (height is not None and height < 0):
+        raise ValueError("length and height must be nonnegative")
+    if n > budget:
+        raise ValueError(f"length {n} exceeds enumeration budget {budget}")
+    rl = direction is Direction.RL
+    path = [0]
+
+    def walk(pos, level):
+        if pos == n:
+            if level <= top:
+                visit(path)
+            return
+        cap = top + n - pos - 1 if rl else n
+        for nxt in oracle._steps(direction, level, cap if height is None else min(cap, height)):
+            path.append(nxt)
+            walk(pos + 1, nxt)
+            path.pop()
+
+    walk(0, 0)
+
+
+class TestWalkerAgainstRecursion:
+    """The batched walker against the recursive one it replaced: the same
+    paths, in the same order."""
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_generate_closed(self, direction):
+        for n in range(13):
+            ref = []
+            reference_walk(direction, n, None, 0, 16, lambda path: ref.append(tuple(path)))
+            assert generate_closed(direction, n) == ref, n
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("height", [None, 0, 1, 3, 5])
+    def test_enumerate_paths(self, direction, height):
+        for n in range(11):
+            ref = []
+            top = n if height is None else height
+            reference_walk(direction, n, height, top, 16, lambda path: ref.append(tuple(path)))
+            rep = enumerate_paths(direction, n, height=height)
+            assert rep.by_level == Counter(p[-1] for p in ref), (n, height)
+            assert rep.total_area == sum(sum(p) for p in ref if p[-1] == 0), (n, height)
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_one_list_per_prefix(self, direction):
+        lists = list(oracle._walk(direction, 12, None, 0, 16))
+        prefixes = [{p[:-2] for p in paths} for paths in lists]
+        assert all(len(ps) == 1 for ps in prefixes)
+        assert len({ps.pop() for ps in prefixes}) == len(lists)
 
 
 class TestReverseCheck:

@@ -7,9 +7,9 @@ from functools import lru_cache, partial
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from deutsch_paths import strip
+from deutsch_paths import strip, verify
 from deutsch_paths.closed import count_rl_closed
 from deutsch_paths.errors import ConsistencyError
 from deutsch_paths.oracle import enumerate_paths, generate_closed
@@ -538,6 +538,58 @@ class TestBareiss:
         with pytest.raises(ConsistencyError, match="^Bareiss division was not exact$"):
             det_direct(3, 4)
 
+    def test_singular_has_no_adjugate_column(self):
+        with pytest.raises(ValueError, match="singular"):
+            strip._bareiss([[[1], [2]], [[2], [4]]], [[1], []])
+        assert strip._bareiss([], []) == []
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.lists(st.integers(-10**6, 10**6), max_size=4), min_size=n, max_size=n),
+                 min_size=n, max_size=n),
+        st.lists(st.lists(st.integers(-10**6, 10**6), max_size=4), min_size=n, max_size=n))))
+    @settings(max_examples=60)
+    def test_adjugate_column_matches_permutation_expansion(self, system):
+        # entry q: the determinant with column q replaced by rhs (Cramer)
+        mat, rhs = system
+        assume(leibniz_det(mat))
+        replaced = [[[r if j == q else e for j, e in enumerate(row)] for row, r in zip(mat, rhs)]
+                    for q in range(len(mat))]
+        assert strip._bareiss(mat, rhs) == [leibniz_det(a) for a in replaced]
+
+    def test_adjugate_short_bound_raises(self, monkeypatch):
+        # Delta_(1,1) = 1 at B = 1, as in test_short_bound_raises
+        monkeypatch.setattr(strip, "prod", lambda rows: 0)
+        with pytest.raises(ConsistencyError, match="^Bareiss determinant has more than 1 digits$"):
+            strip.deltas_direct(1, 4)
+
+    def test_adjugate_inexact_division_raises(self, monkeypatch):
+        # in a 2 x 2 elimination the first pivot (3) divides only in step 1,
+        # which clears above the second pivot: the augmented column of row 0
+        divisors = []
+
+        def inexact_by_first_pivot(a, b):
+            divisors.append(b)
+            q, r = builtins.divmod(a, b)
+            return (q, 1) if b == 3 else (q, r)
+
+        monkeypatch.setattr(strip, "divmod", inexact_by_first_pivot, raising=False)
+        with pytest.raises(ConsistencyError, match="^Bareiss division was not exact$"):
+            strip._bareiss([[[3], []], [[], [1]]], [[1], []])
+        assert divisors == [1, 1, 3]
+
+    def test_suite_runs_one_elimination_per_m(self, monkeypatch):
+        bareiss = strip._bareiss
+        runs = Counter()
+
+        def counting_bareiss(mat, rhs=None):
+            runs["rhs" if rhs is not None else "det"] += 1
+            return bareiss(mat, rhs)
+
+        monkeypatch.setattr(strip, "_bareiss", counting_bareiss)
+        assert verify.suite_cramer().passed
+        # d_m for m = 0..12, and Delta_(m,1..m) for m = 1..12: not 78
+        assert runs == {"det": 13, "rhs": 12}
+
 
 class TestCramer:
     def test_bounded_f_barrier_one(self):
@@ -704,10 +756,21 @@ class TestSolveSystem:
     @pytest.mark.parametrize("order", [0, 1, 7, 20])
     @pytest.mark.parametrize("direction", list(Direction))
     def test_matches_series_elimination(self, direction, order):
-        for h in range(9):
+        for h in range(11):  # the cramer suite's range
             assert solve_system(direction, h, order) == reference_solve_system(
                 direction, h, order
             ), h
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_no_product_with_a_zero_operand(self, monkeypatch, direction):
+        poly_mul = strip.poly_mul
+
+        def nonzero_mul(u, v, cap=None):
+            assert any(u) and any(v), (u, v)
+            return poly_mul(u, v, cap)
+
+        monkeypatch.setattr(strip, "poly_mul", nonzero_mul)
+        assert solve_system(direction, 10, 20) == reference_solve_system(direction, 10, 20)
 
     def test_lr_h1(self):
         sol = solve_system(Direction.LR, 1, 8)
