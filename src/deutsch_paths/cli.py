@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import json
 import os
 import sys
@@ -188,21 +189,32 @@ def _render_reports(
     reports: list[verify.SuiteReport], all_passed: bool, fmt: str
 ) -> Iterator[str]:
     """The verify report: one json document, or a line per check and per
-    note, each line a piece."""
+    note, each line a piece.  A csv line is written by `csv.writer`, so a
+    name, detail or note that holds a comma is quoted: a check is the row
+    [PASS/FAIL, suite, name(, detail)], a note header or a note one field."""
     if fmt == "json":
         suites = [{**asdict(r), "passed": r.passed} for r in reports]
         yield from _document({"passed": all_passed, "suites": suites})
         return
-    sep = "," if fmt == "csv" else ": "
+    line = _csv_line if fmt == "csv" else (lambda fields: ": ".join(fields) + "\n")
     for r in reports:
         for c in r.checks:
             fields = ["PASS" if c.passed else "FAIL", r.suite, c.name]
             if c.detail and not c.passed:
                 fields.append(c.detail)
-            yield sep.join(fields) + "\n"
+            yield line(fields)
         if r.notes:
-            yield f"# {r.suite}: documented deviations\n"
-            yield from (f"#   {note}\n" for note in r.notes)
+            yield line([f"# {r.suite}: documented deviations"])
+            yield from (line([f"#   {note}"]) for note in r.notes)
+
+
+def _csv_line(fields: Sequence[str]) -> str:
+    """One csv row, quoted where a field needs it, ending in "\\n"."""
+    import csv  # here, not at the top: only a csv verify report needs it
+
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
 
 
 @functools.cache

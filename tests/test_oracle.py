@@ -1,6 +1,7 @@
 """Brute-force oracle against the DP tables and the area formulas."""
 
 import itertools
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -177,10 +178,66 @@ class TestWalkerAgainstRecursion:
 
     @pytest.mark.parametrize("direction", list(Direction))
     def test_one_list_per_prefix(self, direction):
+        split = oracle._split(direction, 12)
         lists = list(oracle._walk(direction, 12, None, 0, 16))
-        prefixes = [{p[:-2] for p in paths} for paths in lists]
+        prefixes = [{p[:split + 1] for p in paths} for paths in lists]
         assert all(len(ps) == 1 for ps in prefixes)
         assert len({ps.pop() for ps in prefixes}) == len(lists)
+
+
+class TestSplitAtEveryPosition:
+    """The walker split at each position 0..n, from one list holding every
+    path (0) to one list per path (n), against the recursive walker: the
+    same paths in the same order."""
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_generate_closed(self, monkeypatch, direction):
+        for n in range(11):
+            ref = []
+            reference_walk(direction, n, None, 0, 16, lambda path: ref.append(tuple(path)))
+            for split in range(n + 1):
+                monkeypatch.setattr(oracle, "_split", lambda d, m, split=split: split)
+                assert generate_closed(direction, n) == ref, (n, split)
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("height", [None, 0, 1, 3])
+    def test_enumerate_paths(self, monkeypatch, direction, height):
+        for n in range(9):
+            ref = []
+            top = n if height is None else height
+            reference_walk(direction, n, height, top, 16, lambda path: ref.append(tuple(path)))
+            for split in range(n + 1):
+                monkeypatch.setattr(oracle, "_split", lambda d, m, split=split: split)
+                walked = [p for paths in oracle._walk(direction, n, height, top, 16) for p in paths]
+                assert walked == ref, (n, height, split)
+                rep = enumerate_paths(direction, n, height=height)
+                assert rep.by_level == Counter(p[-1] for p in ref), (n, height, split)
+                assert rep.total_area == sum(sum(p) for p in ref if p[-1] == 0), (n, height, split)
+
+
+class TestWalkCost:
+    """The work and the memory of the walk, guarded by counts."""
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_lists_at_n14(self, direction):
+        split = oracle._split(direction, 14)
+        lists = list(oracle._walk(direction, 14, None, 0, 16))
+        prefixes = [{p[:split + 1] for p in paths} for paths in lists]
+        assert all(len(ps) == 1 for ps in prefixes)
+        assert len({ps.pop() for ps in prefixes}) == len(lists)
+        # 7752 closed paths in each direction; a list per path is a stack step per path
+        assert sum(map(len, lists)) == 7752
+        assert len(lists) <= 7752 / 5
+
+    def test_reverse_check_memory(self):
+        # 3.7 MB on CPython 3.11; a table of every LR tail (split 0) peaks at 6.1 MB
+        tracemalloc.start()
+        try:
+            reverse_check(14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 class TestReverseCheck:
@@ -201,6 +258,33 @@ class TestReverseCheck:
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
             reverse_check(3)
+
+    @pytest.mark.parametrize("repeated", list(Direction))
+    def test_repeated_path_named(self, monkeypatch, repeated):
+        real = oracle.generate_closed
+
+        def generate(direction, n, budget):
+            paths = real(direction, n, budget=budget)
+            return paths + paths[:1] if direction is repeated else paths
+
+        monkeypatch.setattr(oracle, "generate_closed", generate)
+        with pytest.raises(VerificationFailure, match=f"the {repeated.name} walk repeated a path at n=6"):
+            reverse_check(6)
+
+    @pytest.mark.parametrize("edit", ["drop", "extra"])
+    def test_reversal_mismatch(self, monkeypatch, edit):
+        # RL loses its last path, or gains one that no LR path reverses to
+        real = oracle.generate_closed
+
+        def generate(direction, n, budget):
+            paths = real(direction, n, budget=budget)
+            if direction is Direction.RL:
+                return paths[:-1] if edit == "drop" else paths + [(0,) * n + (1,)]
+            return paths
+
+        monkeypatch.setattr(oracle, "generate_closed", generate)
+        with pytest.raises(VerificationFailure, match="reversed LR paths != RL paths at n=6"):
+            reverse_check(6)
 
 
 class TestAreaCheck:
