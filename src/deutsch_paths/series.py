@@ -178,18 +178,10 @@ class ZSeries:
             raise ValueError("negative shift")
         return place(self.coeffs, self.order, p)
 
-    def __truediv__(self, other: "ZSeries") -> "ZSeries":
-        """Exact quotient; the divisor needs constant coefficient +-1.
-
-        Solves q * other = self term by term with `divide`: one dot product
-        per coefficient, O(order^2) in all.
-        """
-        self._check_order(other)
-        return ZSeries(tuple(divide(self.coeffs, other.coeffs)))
-
     def inverse(self) -> "ZSeries":
-        """Multiplicative inverse; requires constant coefficient +-1."""
-        return ZSeries.one(self.order) / self
+        """Multiplicative inverse; requires constant coefficient +-1.  One
+        dot product per coefficient (`divide`), O(order^2) in all."""
+        return ZSeries(tuple(divide(ZSeries.one(self.order).coeffs, self.coeffs)))
 
     def eval_float(self, z: float) -> float:
         acc = 0.0

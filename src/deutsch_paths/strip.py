@@ -8,14 +8,15 @@ the barrier h = order + level, which `stabilized` proves exact.
 
 The Cramer route computes in x = z^2: the determinants d_m and the terms
 a_n are polynomials in x, and b_n is z^(n mod 2) times one, so every
-quotient is z^(level mod 2) times a series in x.  It takes each term it
-needs from that term's binomial sum (`_term`), whatever the barrier, then
-multiplies and divides integer coefficient lists in x and builds one
-ZSeries at the end; the recurrences (`_sequence`) serve `sequence_terms`.
-The banded solve computes on coefficient lists in z too, and the direct
-determinants on integers: a ZSeries is only the value a route returns.
-The RL numerator is two products: b_n = b_{n-2} + z b_{n-3} folds the
-cofactor expansion's four.
+quotient is z^(level mod 2) times a series in x.  `_numerator` takes each
+term it needs from that term's binomial sum (`_term`), whatever the
+barrier, and returns the numerator's coefficient list in x: one shifted d
+term for LR, at most two products for RL (b_n = b_{n-2} + z b_{n-3} folds
+the cofactor expansion's four).  `_cramer` divides it by d_{h+1} and
+builds one ZSeries at the end; the recurrences (`_sequence`) serve
+`sequence_terms`.  The banded solve computes on coefficient lists in z
+too, and the direct determinants on integers: a ZSeries is only the value
+a route returns.
 """
 
 from __future__ import annotations
@@ -240,12 +241,6 @@ def _term(name: str, n: int, cap: int) -> list[int]:
     return out
 
 
-def _terms(wanted: set[tuple[str, int]], cap: int) -> dict[tuple[str, int], list[int]]:
-    """The sequence terms in `wanted`, as (name, index) pairs with index >= 0,
-    one binomial walk (`_term`) each."""
-    return {(name, n): _term(name, n, cap) for name, n in wanted}
-
-
 def _cap(order: int, parity: int) -> int:
     """The top power of x a series of this parity needs up to z^order; at
     least 0, so the determinants keep their constant term.  Every Cramer
@@ -255,53 +250,41 @@ def _cap(order: int, parity: int) -> int:
     return max(order - parity, 0) // 2
 
 
-def _numerator(direction: Direction, level: int, m: int) -> list[tuple[int, tuple]]:
+def _numerator(direction: Direction, level: int, m: int, cap: int) -> list[int]:
     """Cramer's numerator for `level` in the m x m system over z^(level
-    mod 2), as a sum of terms (s, factors): x^s times the product of the
-    sequence terms in factors ((name, index) pairs, b standing for beta);
-    terms with a negative index are zero.
+    mod 2), as a coefficient list in x padded to x^cap, with each sequence
+    term it needs taken from one binomial walk (`_term`).
 
-    LR: z^k d_{m-1-k}.  RL, column q = level + 1 replaced by e_1: d_{m-1}
-    for q = 1, else z b_q a_{m-q} + z^2 b_{q-1} a_{m-q-1} (see `delta`),
-    which is x^(q mod 2) beta_q a_{m-q} + x beta_{q-1} a_{m-q-1} over
-    z^(level mod 2); for q = m, a_0 = 1 and a_{-1} = 0.  beta comes first
-    in each product, which costs its left factor's nonzero terms times
-    the length of the right one.
+    LR: z^k d_{m-1-k}, and d_{m-1} for RL level 0 too.  RL, column q =
+    level + 1 replaced by e_1: z b_q a_{m-q} + z^2 b_{q-1} a_{m-q-1} (see
+    `delta`), which is x^(q mod 2) beta_q a_{m-q} + x beta_{q-1} a_{m-q-1}
+    over z^(level mod 2); for q = m, a_0 = 1 and a_{-1} = 0, so that
+    product is skipped.  beta comes first in each product, which costs its
+    left factor's nonzero terms times the length of the right one.
     """
-    if direction is Direction.LR:
-        parts = [(level // 2, (("d", m - 1 - level),))]
-    elif level == 0:
-        parts = [(0, (("d", m - 1),))]
+    if direction is Direction.LR or level == 0:
+        total = shifted_sum([], _term("d", m - 1 - level, cap), level // 2, 1, cap)
     else:
         q = level + 1
-        parts = [(q % 2, (("b", q), ("a", m - q))), (1, (("b", q - 1), ("a", m - q - 1)))]
-    return [(s, fs) for s, fs in parts if all(j >= 0 for _, j in fs)]
-
-
-def _evaluate(numerator: list[tuple[int, tuple]], terms: dict, cap: int) -> list[int]:
-    """Sum a numerator from `_numerator` over the sequence terms in `terms`,
-    as a polynomial in x truncated at x^cap."""
-    total: list[int] = []
-    for s, factors in numerator:
-        left, *rest = [terms[f] for f in factors]
-        product = poly_mul(left, rest[0], cap - s) if rest else left
-        total = shifted_sum(total, product, s, 1, cap)
+        total = []
+        for s, b, a in ((q % 2, q, m - q), (1, q - 1, m - q - 1)):
+            if a >= 0:
+                product = poly_mul(_term("b", b, cap), _term("a", a, cap), cap - s)
+                total = shifted_sum(total, product, s, 1, cap)
     return total + [0] * (cap + 1 - len(total))
 
 
 def _cramer(direction: Direction, level: int, h: int, order: int) -> ZSeries:
     """The Cramer quotient numerator / d_{h+1} of `level` at barrier h, with
-    every sequence term it needs taken from one binomial walk (`_terms`), so
+    every sequence term it needs taken from one binomial walk (`_term`), so
     its cost does not grow with h.  The quotient is z^(level mod 2) times a
     series in x, divided in x."""
     parity = level % 2
     cap = _cap(order, parity)
-    numerator = _numerator(direction, level, h + 1)
-    terms = _terms({f for _, fs in numerator for f in fs} | {("d", h + 1)}, cap)
-    den = terms["d", h + 1]
+    den = _term("d", h + 1, cap)
     if den[0] != 1:
         raise ConsistencyError(f"d_{h + 1} has constant term {den[0]}, not 1")
-    return place(divide(_evaluate(numerator, terms, cap), den), order, parity, 2)
+    return place(divide(_numerator(direction, level, h + 1, cap), den), order, parity, 2)
 
 
 def sequence_terms(name: str, n: int, order: int) -> list[ZSeries]:
@@ -348,10 +331,7 @@ def delta(m: int, q: int, order: int) -> ZSeries:
     if not 1 <= q <= m:
         raise ValueError(f"need 1 <= q <= m, got q={q}, m={m}")
     parity = (q - 1) % 2
-    cap = _cap(order, parity)
-    numerator = _numerator(Direction.RL, q - 1, m)
-    terms = _terms({f for _, fs in numerator for f in fs}, cap)
-    return place(_evaluate(numerator, terms, cap), order, parity, 2)
+    return place(_numerator(Direction.RL, q - 1, m, _cap(order, parity)), order, parity, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -438,27 +418,19 @@ def _bareiss(mat: list[list], rhs: Optional[list] = None) -> list:
     return polys[0] if rhs is None else polys
 
 
-def det_direct(m: int, order: int, q: Optional[int] = None) -> ZSeries:
-    """Determinant of a matrix over Z[z] by fraction-free (Bareiss)
-    elimination on its integer values at one power of two (`_bareiss`),
-    truncated at z^order.
-
-    With q=None this is the LR matrix (checks det_d); with 1 <= q <= m it is
-    Delta_{m,q}, the transposed (RL) matrix with column q replaced by e_1
-    (checks delta), taken from `deltas_direct`: the one elimination that
-    gives every q.  A direct elimination, independent of the recurrences it
-    checks: O(m^3) entry updates, each two products and a checked exact
-    division of integers of O(m B) bits, B = O(m log m) bits per
-    coefficient.
+def det_direct(m: int, order: int) -> ZSeries:
+    """Determinant of the m x m LR system matrix over Z[z] (the oracle for
+    det_d) by fraction-free (Bareiss) elimination on its integer values at
+    one power of two (`_bareiss`), truncated at z^order; the RL numerators
+    Delta_{m,q} come from `deltas_direct`.  A direct elimination,
+    independent of the recurrences it checks: O(m^3) entry updates, each two
+    products and a checked exact division of integers of O(m B) bits,
+    B = O(m log m) bits per coefficient.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if q is not None and not 1 <= q <= m:
-        raise ValueError(f"need 1 <= q <= m, got q={q}")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if q is not None:
-        return deltas_direct(m, order)[q - 1]
     return place(_bareiss(_system_matrix(Direction.LR, m)), order)
 
 

@@ -17,6 +17,7 @@ from deutsch_paths.strip import (
     bounded_f,
     bounded_g,
     delta,
+    deltas_direct,
     det_d,
     det_direct,
     dp_counts,
@@ -98,10 +99,10 @@ def test_criterion_3_three_way_equality():
 def test_criterion_4_determinant_oracles():
     order = 16
     ok = all(det_d(m, order) == det_direct(m, order) for m in range(13))
+    # one elimination per m gives every Delta_{m,q}
     ok = ok and all(
-        delta(m, q, order) == det_direct(m, order, q=q)
+        deltas_direct(m, order) == [delta(m, q, order) for q in range(1, m + 1)]
         for m in range(1, 13)
-        for q in range(1, m + 1)
     )
     report("criterion 4: determinant recurrences vs direct elimination (m<=12)", ok)
 
@@ -150,6 +151,8 @@ def test_criterion_8_radical_formulas():
 
 
 def test_criterion_9_reversal_bijection():
+    # a path and its reversal have the same area, so the bijection that
+    # reverse_check proves carries the area multiset with it
     ok = True
     for n in range(0, 15, 2):
         try:

@@ -328,6 +328,21 @@ class TestExitCodes:
         assert (code, captured.out) == (3, "")
         assert "internal error:" in captured.err and "Traceback" in captured.err
 
+    def test_non_unit_denominator_is_exit3(self, capsys, monkeypatch):
+        # a determinant d_(h+1) whose constant term is not 1 is a bug in
+        # the term walk: exit 3, never a mismatch (1) or a usage error (2)
+        term = strip._term
+
+        def non_unit_d(name, n, cap):
+            coeffs = term(name, n, cap)
+            return [2, *coeffs[1:]] if name == "d" else coeffs
+
+        monkeypatch.setattr(strip, "_term", non_unit_d)
+        code = main(["series", "--level", "0", "--order", "4", "--height", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert "ConsistencyError: d_3 has constant term 2, not 1" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["triangle", "--n", "4"],
         ["series", "--level", "0", "--order", "8"],

@@ -12,6 +12,7 @@ from deutsch_paths.series import (
     ZSeries,
     binomial_diagonal,
     coeff_x,
+    divide,
     place,
     poly_mul,
     shifted_sum,
@@ -169,18 +170,15 @@ class TestDivision:
     @given(divisions())
     def test_matches_dense_inverse(self, pair):
         a, b = pair
-        assert a / b == a * dense_inverse(b)
-        assert (a / b) * b == a
+        quot = ZSeries(tuple(divide(a.coeffs, b.coeffs)))
+        assert quot == a * dense_inverse(b)
+        assert quot * b == a
 
     def test_non_unit_divisor_rejected(self):
         with pytest.raises(ValueError):
-            zs(1, 2, 3) / zs(2, 1, 0)
+            divide([1, 2, 3], [2, 1, 0])
         with pytest.raises(ValueError):
-            zs(1, 2, 3) / zs(0, 1, 0)
-
-    def test_order_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ZSeries.one(3) / ZSeries.one(4)
+            divide([1, 2, 3], [0, 1, 0])
 
 
 class TestIntPolyDivmod:

@@ -20,6 +20,7 @@ from deutsch_paths.strip import (
     bounded_f,
     bounded_g,
     delta,
+    deltas_direct,
     det_d,
     det_direct,
     dp_counts,
@@ -483,24 +484,22 @@ class TestDeterminants:
                 assert delta(m, q, order) == reference_delta(m, q, order), (m, q)
 
     def test_direct_matches_delta(self):
+        # one elimination per m gives every q
         assert all(
-            delta(m, q, 16) == det_direct(m, 16, q=q)
+            deltas_direct(m, 16) == [delta(m, q, 16) for q in range(1, m + 1)]
             for m in range(1, 13)
-            for q in range(1, m + 1)
         )
 
     @pytest.mark.parametrize("order", [0, 1, 5, 16, 20])
     def test_direct_matches_intpoly_bareiss(self, order):
-        for m in range(13):
-            for q in [None, *range(1, m + 1)]:
-                ref = reference_det_bareiss(m, q)
-                expected = ZSeries(tuple(ref[k] for k in range(order + 1)))
-                assert det_direct(m, order, q=q) == expected, (m, q)
+        def expected(ref):
+            return ZSeries(tuple(ref[k] for k in range(order + 1)))
 
-    @pytest.mark.parametrize("q", [3, 0, -1])
-    def test_direct_validates_q_before_the_empty_matrix(self, q):
-        with pytest.raises(ValueError):
-            det_direct(0, 4, q=q)
+        for m in range(13):
+            assert det_direct(m, order) == expected(reference_det_bareiss(m)), m
+            assert deltas_direct(m, order) == [
+                expected(reference_det_bareiss(m, q)) for q in range(1, m + 1)
+            ], m
 
     def test_direct_empty_matrix(self):
         assert det_direct(0, 4) == ZSeries.one(4)
@@ -623,6 +622,24 @@ class TestCramer:
             assert series.coeffs == tuple(
                 table.count(n, level) for n in range(order + 1)
             )
+
+    @pytest.mark.parametrize("call", [
+        partial(bounded_f, 0, 2, 4),
+        partial(bounded_g, 1, 2, 4),
+        partial(stabilized, Direction.RL, 2, 4),
+    ], ids=["bounded_f", "bounded_g", "stabilized"])
+    def test_non_unit_denominator_raises(self, monkeypatch, call):
+        # every d_m has constant term 1, so only a broken term walk reaches
+        # the guard; `divide` would otherwise say "not invertible over Z"
+        term = strip._term
+
+        def non_unit_d(name, n, cap):
+            coeffs = term(name, n, cap)
+            return [2, *coeffs[1:]] if name == "d" else coeffs
+
+        monkeypatch.setattr(strip, "_term", non_unit_d)
+        with pytest.raises(ConsistencyError, match=r"^d_\d+ has constant term 2, not 1$"):
+            call()
 
 
 def tight_barrier(direction, level, order):
@@ -787,12 +804,27 @@ class TestSolveSystem:
         sol = solve_system(Direction.LR, 7, 8)
         assert sol[0].coeffs == tuple(table.count(n, 0) for n in range(9))
 
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_non_unit_pivot_raises(self, monkeypatch, direction):
+        # every off-diagonal entry is a multiple of z, so the elimination
+        # keeps each pivot's constant term: the last one starts at 2 here
+        system_matrix = strip._system_matrix
+
+        def two_in_last_pivot(direction, m):
+            mat = [list(row) for row in system_matrix(direction, m)]
+            mat[-1][-1] = (2,)
+            return mat
+
+        monkeypatch.setattr(strip, "_system_matrix", two_in_last_pivot)
+        with pytest.raises(ConsistencyError, match="^elimination pivot lost its unit constant term$"):
+            solve_system(direction, 3, 6)
+
 
 NEGATIVE_ORDER_CALLS = {
     "bounded_f": lambda: bounded_f(0, 2, -1),
     "bounded_g": lambda: bounded_g(1, 2, -1),
     "det_direct": lambda: det_direct(3, -1),
-    "det_direct_q": lambda: det_direct(3, -1, q=2),
+    "deltas_direct": lambda: deltas_direct(3, -1),
     "solve_system": lambda: solve_system(Direction.RL, 2, -1),
     "sequence_terms": lambda: sequence_terms("b", 4, -1),
     "det_d": lambda: det_d(3, -1),
@@ -810,7 +842,7 @@ def test_negative_order_fails_before_any_work(monkeypatch, name):
     def no_work(*args, **kwargs):
         raise AssertionError(f"{name} started work on a negative order")
 
-    for helper in ("_sequence", "_terms", "_term", "_system_matrix", "_bareiss", "poly_mul", "divide"):
+    for helper in ("_sequence", "_term", "_system_matrix", "_bareiss", "poly_mul", "divide"):
         monkeypatch.setattr(strip, helper, no_work)
     with pytest.raises(ValueError, match="^order must be nonnegative$"):
         NEGATIVE_ORDER_CALLS[name]()
