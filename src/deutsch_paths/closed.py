@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import comb
 
 from .errors import ConsistencyError
-from .series import IntPoly, TRational, ZSeries, binomial_diagonal, coeff_x, poly_mul, shifted_sum
+from .series import TRational, ZSeries, binomial_diagonal, coeff_x, poly_mul, shifted_sum
 
 
 def binom(n: int, k: int) -> int:
@@ -53,7 +53,7 @@ def f_closed(k: int) -> TRational:
     """Unbounded LR limit: f_k = z^k / (1-t)^(k+1)."""
     if k < 0:
         raise ValueError("level must be nonnegative")
-    return TRational(IntPoly((1,)), pow1t=k + 1, zshift=k)
+    return TRational((1,), pow1t=k + 1, zshift=k)
 
 
 class GClosedForm(tuple[TRational, ...]):
@@ -88,9 +88,10 @@ def _g_pieces(i: int, k_min: int) -> GClosedForm:
         return GClosedForm((f_closed(0),))
     pieces: list[TRational] = []
     for k in range(k_min, i // 2 + 1):
-        numer = IntPoly((binom(i - 1 - k, k), binom(i - 1 - k, k - 1)))
-        if not numer.is_zero():
-            pieces.append(TRational(numer, pow1t=2 * i + 1 - 3 * k, zshift=i - 2 * k))
+        piece = TRational((binom(i - 1 - k, k), binom(i - 1 - k, k - 1)),
+                          pow1t=2 * i + 1 - 3 * k, zshift=i - 2 * k)
+        if piece.numer:
+            pieces.append(piece)
     return GClosedForm(pieces)
 
 
@@ -112,7 +113,7 @@ def count_rl_closed(n: int, i: int) -> int:
 def area_gf() -> TRational:
     """Sum over closed paths of length 2n of their total area, as a
     generating function in x = z^2: t(1+3t) / ((1-t)(1-3t)^2)."""
-    return TRational(IntPoly((0, 1, 3)), pow1t=1, pow13t=2)
+    return TRational((0, 1, 3), pow1t=1, pow13t=2)
 
 
 def area_coeff(n: int) -> int:
@@ -156,10 +157,10 @@ def area_convolution(order: int) -> ZSeries:
             if p > order:
                 continue
             key = (p, f.pow1t + piece.pow1t, f.pow13t + piece.pow13t)
-            term = [i * c for c in poly_mul(f.numer.coeffs, piece.numer.coeffs)]
+            term = [i * c for c in poly_mul(f.numer, piece.numer)]
             merged[key] = shifted_sum(merged.get(key, []), term)
     total = [0] * (order + 1)
     for (p, a, b), numer in merged.items():
-        base = TRational(IntPoly(tuple(numer)), a, b)
+        base = TRational(tuple(numer), a, b)
         total[p::2] = [c + coeff_x(base, k) for k, c in enumerate(total[p::2])]
     return ZSeries(tuple(total))

@@ -9,6 +9,7 @@ from functools import cache
 from itertools import chain
 from typing import Iterator, Optional
 
+from .closed import area_coeff
 from .errors import VerificationFailure
 from .strip import Direction
 
@@ -158,8 +159,6 @@ def reverse_check(n: int, budget: int = DEFAULT_BUDGET) -> dict[str, int]:
 def area_check(n_max: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, int]]:
     """Compare the oracle's total area against the closed binomial sum for
     every half-length n <= n_max; returns the agreed (n, area) pairs."""
-    from .closed import area_coeff
-
     results = []
     for n in range(n_max + 1):
         oracle = enumerate_paths(Direction.LR, 2 * n, budget=budget).total_area

@@ -8,7 +8,7 @@ the two auxiliary sequences numerically at sampled parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .strip import Direction, sequence_terms, stabilized
 
@@ -55,20 +55,10 @@ def root_set(t: float) -> RootSet:
     )
 
 
-@dataclass
-class Report:
-    """Outcome of a numeric verification; failures carry the identity name
-    and the residual."""
-
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def check(self, name: str, residual: float, tol: float) -> None:
-        if not abs(residual) < tol:
-            self.failures.append(f"{name}: residual {residual:.3e} >= {tol:.1e}")
+def _failures(residuals: list[tuple[str, float]], tol: float = TOL) -> list[str]:
+    """A failure line, with the identity's name and its residual, for each
+    residual that is not below tol (a NaN fails too)."""
+    return [f"{name}: residual {r:.3e} >= {tol:.1e}" for name, r in residuals if not abs(r) < tol]
 
 
 def t_of_z(z: float) -> float:
@@ -80,21 +70,22 @@ def t_of_z(z: float) -> float:
     return 4 / 3 * math.sin(math.acos(1 - 27 * zz / 2) / 6) ** 2
 
 
-def verify_factorizations(rs: RootSet) -> Report:
-    """Symmetric-function identities of the two cubic factorizations."""
-    rep = Report()
+def verify_factorizations(rs: RootSet) -> list[str]:
+    """Symmetric-function identities of the two cubic factorizations; the
+    failure lines, [] when all hold."""
     r1, r2, r3 = rs.r1, rs.r2, rs.r3
     m1, m2, m3 = rs.mu1, rs.mu2, rs.mu3
     zz = rs.z * rs.z
-    rep.check("r1+r2+r3 = 1", r1 + r2 + r3 - 1, TOL)
-    rep.check("r1r2+r1r3+r2r3 = 0", r1 * r2 + r1 * r3 + r2 * r3, TOL)
-    rep.check("r1r2r3 = -z^2", r1 * r2 * r3 + zz, TOL)
-    rep.check("mu1+mu2+mu3 = 0", m1 + m2 + m3, TOL)
-    rep.check("sum mu_i mu_j = -1", m1 * m2 + m1 * m3 + m2 * m3 + 1, TOL)
-    rep.check("mu1 mu2 mu3 = z", m1 * m2 * m3 - rs.z, TOL)
-    rep.check("mu2+mu3 = z/(1-t)", m2 + m3 - rs.z / (1 - rs.t), TOL)
-    rep.check("mu2 mu3 = t-1", m2 * m3 - (rs.t - 1), TOL)
-    return rep
+    return _failures([
+        ("r1+r2+r3 = 1", r1 + r2 + r3 - 1),
+        ("r1r2+r1r3+r2r3 = 0", r1 * r2 + r1 * r3 + r2 * r3),
+        ("r1r2r3 = -z^2", r1 * r2 * r3 + zz),
+        ("mu1+mu2+mu3 = 0", m1 + m2 + m3),
+        ("sum mu_i mu_j = -1", m1 * m2 + m1 * m3 + m2 * m3 + 1),
+        ("mu1 mu2 mu3 = z", m1 * m2 * m3 - rs.z),
+        ("mu2+mu3 = z/(1-t)", m2 + m3 - rs.z / (1 - rs.t)),
+        ("mu2 mu3 = t-1", m2 * m3 - (rs.t - 1)),
+    ])
 
 
 def _a_closed(rs: RootSet, n: int) -> float:
@@ -111,24 +102,25 @@ def _b_closed(rs: RootSet, n: int) -> float:
     return pre * (rs.a * rs.mu1**n + rs.b * rs.mu2**n + rs.c * rs.mu3**n)
 
 
-def verify_an_bn(rs: RootSet, n_max: int) -> Report:
+def verify_an_bn(rs: RootSet, n_max: int) -> list[str]:
     """Radical closed forms of a_n and b_n against the exact recurrences
     (one pass over each, `sequence_terms`), both evaluated at the numeric z
-    of the RootSet."""
+    of the RootSet; the failure lines, [] when all agree."""
     if rs.t > 1 / 3 - 0.03:
         raise ValueError("t too close to 1/3 for the 3t-1 denominator")
-    rep = Report()
     order = 2 * n_max  # the polynomials a_n, b_n fit within degree 2n
     a_terms = sequence_terms("a", n_max, order)
     b_terms = sequence_terms("b", n_max, order)
+    residuals = []
     for n, (a, b) in enumerate(zip(a_terms, b_terms)):
-        rep.check(f"a_{n}", _a_closed(rs, n) - a.eval_float(rs.z), TOL)
-        rep.check(f"b_{n}", _b_closed(rs, n) - b.eval_float(rs.z), TOL)
-    return rep
+        residuals.append((f"a_{n}", _a_closed(rs, n) - a.eval_float(rs.z)))
+        residuals.append((f"b_{n}", _b_closed(rs, n) - b.eval_float(rs.z)))
+    return _failures(residuals)
 
 
-def verify_g_numeric(i: int, order: int, z: float) -> Report:
-    """Numeric mu-form of g_i against the stabilized truncated series.
+def verify_g_numeric(i: int, order: int, z: float) -> list[str]:
+    """Numeric mu-form of g_i against the stabilized truncated series; the
+    failure line, [] when they agree.
 
     The comparison allows for truncation by adding the magnitude of the last
     retained series term to the tolerance.
@@ -149,6 +141,4 @@ def verify_g_numeric(i: int, order: int, z: float) -> Report:
         value = t / (2 * (1 - t) ** (i + 1)) * power_sum - z * (t - 2) / (
             2 * (1 - t) ** (i + 2)
         ) * power_diff
-    rep = Report()
-    rep.check(f"g_{i}(z={z})", value - partial, TOL + abs(last))
-    return rep
+    return _failures([(f"g_{i}(z={z})", value - partial)], TOL + abs(last))

@@ -7,11 +7,13 @@ contour-style coefficient extraction that only ever touches integer
 binomials, walked by exact ratios.  One kernel does the list arithmetic of
 every exact route: `poly_mul` (the product), `shifted_sum` (u +- x^s v) and
 `place` (coefficients into a truncated ZSeries at z^(shift + stride k)).
+A closed form is a `TRational`, its numerator a trimmed coefficient tuple;
+`IntPoly` serves only the tests and the benchmark's tracer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count, islice
 from math import comb
 from operator import add, mul, sub
@@ -24,17 +26,27 @@ from .errors import ConsistencyError
 # integer polynomials (coefficient lists, index = exponent)
 # ---------------------------------------------------------------------------
 
+def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
+    """The coefficients without their trailing zeros: () for zero."""
+    cs = list(coeffs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
 @dataclass(frozen=True)
 class IntPoly:
-    """Dense integer polynomial; the zero polynomial has an empty tuple."""
+    """Dense integer polynomial; the zero polynomial has an empty tuple.
+
+    No route computes with it: every exact route works on coefficient lists
+    and tuples (`poly_mul`, `shifted_sum`, `divide`, `place`).  It is the
+    reference polynomial of the tests (their fraction-free elimination
+    subclasses it), and `divmod_by` is a traced layer of the benchmark."""
 
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        cs = list(self.coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", _trim(self.coeffs))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -207,22 +219,28 @@ def place(coeffs: Iterable[int], order: int, shift: int = 0, stride: int = 1) ->
 
 @dataclass(frozen=True)
 class TRational:
-    """Formal expression numer(t) / ((1-t)^a (1-3t)^b) with a prefactor z^p."""
+    """Formal expression numer(t) / ((1-t)^a (1-3t)^b) with a prefactor z^p.
 
-    numer: IntPoly = field(default_factory=lambda: IntPoly((1,)))
+    `numer` is a tuple of integer coefficients, lowest power first, stored
+    without trailing zeros, so equal expressions compare equal; () is zero."""
+
+    numer: tuple[int, ...] = (1,)
     pow1t: int = 0
     pow13t: int = 0
     zshift: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.numer, tuple):
+            raise TypeError(f"a TRational numerator is a tuple, not {type(self.numer).__name__}")
         if self.pow1t < 0 or self.pow13t < 0 or self.zshift < 0:
             raise ValueError("exponents of a TRational must be nonnegative")
+        object.__setattr__(self, "numer", _trim(self.numer))
 
     def drop_zshift(self) -> "TRational":
         return TRational(self.numer, self.pow1t, self.pow13t, 0)
 
 
-T_OVER_ONE = TRational(IntPoly((0, 1)))  # plain t
+T_OVER_ONE = TRational((0, 1))  # plain t
 
 
 def binomial_diagonal(top: int, bottom: int, count: int) -> list[int]:
@@ -274,7 +292,7 @@ def coeff_x(f: TRational, n: int) -> int:
             if rem:
                 raise ConsistencyError(f"(1-3t)^{1 - b}: term t^{j + 1} is not an integer")
             factor.append(term)
-    num = poly_mul(f.numer.coeffs, factor, n)
+    num = poly_mul(f.numer, factor, n)
     return sum(map(mul, num, binomial_diagonal(3 * n + f.pow1t, n, len(num))))
 
 

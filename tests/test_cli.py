@@ -674,6 +674,47 @@ class TestSuiteRegistry:
         checks = {c.name: c.passed for c in verify.suite_cramer().checks}
         assert checks["bounded coefficients grow monotonically to the limit"] is False
 
+    @pytest.mark.parametrize("name, corrupt, check, detail", [
+        ("det_direct", lambda real: lambda m, order: real(m, order) + ZSeries.one(order)
+         if m == 5 else real(m, order), "d_m == direct determinant (m<=12)", "m=5"),
+        ("deltas_direct", lambda real: lambda m, order: [
+            d + ZSeries.one(order) if (m, q) == (4, 2) else d
+            for q, d in enumerate(real(m, order), 1)],
+         "Delta_(m,q) == direct determinant (m<=12)", "m=4 q=2"),
+        ("sequence_terms", lambda real: lambda name, n, order: [
+            t + ZSeries.one(order) if (name, j) == ("a", 7) else t
+            for j, t in enumerate(real(name, n, order))], "d_m == a_(m+1) (m<=30)", "m=6"),
+        # order 8 is the monotone check's alone; the three-way check runs at 20
+        ("bounded_f", lambda real: lambda level, h, order: ZSeries.zero(order)
+         if (level, h, order) == (1, 4, 8) else real(level, h, order),
+         "bounded coefficients grow monotonically to the limit", "level=1 h=4"),
+    ], ids=["det_direct", "deltas_direct", "sequence_terms", "bounded_f"])
+    def test_cramer_check_names_where_it_failed(self, monkeypatch, name, corrupt, check, detail):
+        # each check fails on its own corrupted input and names the first
+        # failing place; every other check of the suite still passes silently
+        monkeypatch.setattr(verify, name, corrupt(getattr(verify, name)))
+        checks = {c.name: (c.passed, c.detail) for c in verify.suite_cramer().checks}
+        assert checks.pop(check) == (False, detail)
+        assert set(checks.values()) == {(True, "")}
+
+    def test_parity_reads_the_dp_tables(self, monkeypatch):
+        # an RL cell at level 13..20 with odd n - k is beyond the RL closed-form
+        # check (levels <= 12): the parity check alone must catch it
+        real = verify.dp_counts
+
+        def planted(direction, n_max, height=None):
+            table = real(direction, n_max, height)
+            if table.direction is not Direction.RL:
+                return table
+            rows = [list(row) for row in table.rows]
+            rows[18][13] = 1
+            return strip.CountTable(table.direction, table.height, tuple(map(tuple, rows)))
+
+        monkeypatch.setattr(verify, "dp_counts", planted)
+        checks = {c.name: (c.passed, c.detail) for c in verify.suite_dp_closed(20).checks}
+        assert checks.pop("parity vanishing") == (False, "first mismatch [(18, 13)]")
+        assert all(passed for passed, _ in checks.values())
+
     def test_unknown_suite_fails_before_any_suite(self, monkeypatch):
         ran = []
         monkeypatch.setattr(verify, "suite_paper_lists", lambda: ran.append(1))
@@ -698,6 +739,68 @@ def test_tracer_layers_resolve():
             assert name in vars(getattr(module, owner)), f"{mod}.{attr}"
         else:
             assert callable(getattr(module, name, None)), f"{mod}.{attr}"
+
+
+# Run in a fresh interpreter, with src/ and perfbench/ on the path, so that
+# nothing is imported before the tracer asks `deutsch_paths.cli` for the
+# modules it wraps.  argv[1] is the directory the requests write into.
+BENCH_CONTRACT = """
+import contextlib, subprocess, sys
+from pathlib import Path
+
+import tracing
+
+def wrapped():
+    for _, mod, attr, *_ in tracing.LAYERS:
+        owner, _, name = attr.rpartition(".")
+        holder = sys.modules["deutsch_paths." + mod]
+        yield hasattr(vars(getattr(holder, owner) if owner else holder)[name], "__wrapped__")
+
+assert "deutsch_paths" not in sys.modules
+tracer = tracing.Tracer()
+tracer.install()  # imports deutsch_paths.cli, then reads every LAYERS module
+assert all(wrapped())
+tracer.uninstall()
+assert not any(wrapped())
+
+import run
+subprocess.run([sys.executable, "-c", run.SETUP_PROBE], check=True)
+
+import checks, workloads
+from deutsch_paths import cli
+
+def size(req):
+    return sum(int(a) for a in req["argv"] if a.isdigit())
+
+for w in workloads.BLOCKS:
+    smallest = {}
+    for req in sorted(next(workloads.stream(w, 7)), key=size):
+        kind = (req["meta"]["kind"], req["meta"].get("height") is None)
+        smallest.setdefault(kind, req)
+    for kind, req in smallest.items():
+        path = Path(sys.argv[1]) / f"{w}-{kind[0]}.out"
+        with open(path, "w") as out, contextlib.redirect_stdout(out):
+            rc = cli.main(req["argv"])
+        assert rc == 0, (w, req["argv"], rc)
+        assert checks.check(req, {"rc": rc, "out": checks.extract(req, str(path))}), (w, req["argv"])
+        print(w, *req["argv"])
+"""
+
+
+def test_benchmark_contract(tmp_path):
+    """What the benchmark needs of the package, end to end: its set-up probe
+    runs, its tracer installs (every LAYERS module loaded by importing the
+    cli) and uninstalls, and the smallest request of each kind in each
+    workload's first block is served by `cli.main` and passes its check."""
+    env = dict(os.environ)
+    src = PERFBENCH.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), str(PERFBENCH), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", BENCH_CONTRACT, str(tmp_path)], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    served = proc.stdout.splitlines()
+    assert {line.split()[0] for line in served} == {"verify-all", "unbounded-sweep", "bounded-strip"}
+    assert len(served) == 6, served  # verify; unbounded series, triangle, area; bounded two
 
 
 _NUM = st.integers(-1, 8).map(str)

@@ -18,7 +18,7 @@ from deutsch_paths.closed import (
     f_closed,
     g_closed,
 )
-from deutsch_paths.series import IntPoly, TRational, ZSeries, coeff_x, zseries_of
+from deutsch_paths.series import TRational, ZSeries, coeff_x, zseries_of
 from deutsch_paths.strip import Direction, dp_counts, stabilized
 
 
@@ -51,11 +51,11 @@ def reference_g_pieces(i):
     for k in range(1, i // 2 + 1):
         c = binom(i - 1 - k, k - 1)
         if c:
-            pieces.append((i - 2 * k, TRational(IntPoly((0, c)), pow1t=2 * i + 1 - 3 * k)))
+            pieces.append((i - 2 * k, TRational((0, c), pow1t=2 * i + 1 - 3 * k)))
     for k in range((i - 1) // 2 + 1):
         c = binom(i - 1 - k, k)
         if c:
-            pieces.append((i - 2 * k, TRational(IntPoly((c,)), pow1t=2 * i + 1 - 3 * k)))
+            pieces.append((i - 2 * k, TRational((c,), pow1t=2 * i + 1 - 3 * k)))
     return pieces
 
 
@@ -259,7 +259,7 @@ class TestCountRlClosed:
 class TestArea:
     def test_gf_structure(self):
         gf = area_gf()
-        assert gf.numer.coeffs == (0, 1, 3)
+        assert gf.numer == (0, 1, 3)
         assert (gf.pow1t, gf.pow13t, gf.zshift) == (1, 2, 0)
 
     def test_gf_extraction(self):

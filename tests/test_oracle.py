@@ -291,14 +291,10 @@ class TestAreaCheck:
     def test_small(self):
         assert area_check(3) == [(0, 0), (1, 1), (2, 12), (3, 102)]
 
-    def test_raises_on_mismatch(self):
-        # sanity: the helper really compares (force a bad formula via monkeypatch)
-        import deutsch_paths.closed as closed_mod
-
-        orig = closed_mod.area_coeff
-        closed_mod.area_coeff = lambda n: orig(n) + (1 if n == 1 else 0)
-        try:
-            with pytest.raises(VerificationFailure):
-                area_check(2)
-        finally:
-            closed_mod.area_coeff = orig
+    def test_raises_on_mismatch(self, monkeypatch):
+        # sanity: the helper really compares (a bad formula, patched where
+        # area_check reads it)
+        orig = oracle.area_coeff
+        monkeypatch.setattr(oracle, "area_coeff", lambda n: orig(n) + (1 if n == 1 else 0))
+        with pytest.raises(VerificationFailure, match="area mismatch at n=1"):
+            area_check(2)
