@@ -180,8 +180,7 @@ class ZSeries:
 
     def __mul__(self, other: "ZSeries") -> "ZSeries":
         self._check_order(other)
-        # a list for v: poly_mul slices v on each row, and tuple slices kept
-        # ≈0.3 MB more peak memory in `verify --suite all` (tuple free lists)
+        # a list for v: poly_mul slices v on each row
         return ZSeries(tuple(poly_mul(self.coeffs, list(other.coeffs), self.order)))
 
     def shift(self, p: int) -> "ZSeries":
@@ -268,11 +267,12 @@ def coeff_x(f: TRational, n: int) -> int:
     Uses [x^n] F = [t^n] (1-3t) (1-t)^(-2n-1) F(t), staying entirely in
     integer arithmetic; f must carry no z prefactor.  With
     N = 3n + pow1t, this is sum_j num_j C(N - j, n - j), num being the
-    numerator times (1-3t)^(1-pow13t) up to t^n.  For pow13t = b >= 2 that
-    factor is sum_j C(b-2+j, j) 3^j t^j, each term the previous one times
-    3 (b-1+j) / (j+1); the binomials lie on one diagonal
-    (`binomial_diagonal`).  So one `comb`, then one exact multiply-divide
-    per term.
+    numerator times (1-3t)^(1-pow13t) up to t^n.  For every pow13t = b >= 0
+    each term of that factor is the previous one times 3 (b-1+j) / (j+1):
+    sum_j C(b-2+j, j) 3^j t^j for b >= 2, and the walk stops at its first
+    zero term, after 1 - 3t for b = 0 and at 1 for b = 1.  The binomials
+    lie on one diagonal (`binomial_diagonal`).  So one `comb`, then one
+    exact multiply-divide per term.
     """
     if f.zshift != 0:
         raise ValueError("coeff_x requires zshift == 0; use zseries_of for shifted forms")
@@ -280,18 +280,15 @@ def coeff_x(f: TRational, n: int) -> int:
         return 0
     # numerator times (1-3t)^(1-b), truncated at t^n
     b = f.pow13t
-    if b == 0:
-        factor: Sequence[int] = (1, -3)
-    elif b == 1:
-        factor = (1,)
-    else:
-        term = 1
-        factor = [term]
-        for j in range(n):
-            term, rem = divmod(term * 3 * (b - 1 + j), j + 1)
-            if rem:
-                raise ConsistencyError(f"(1-3t)^{1 - b}: term t^{j + 1} is not an integer")
-            factor.append(term)
+    term = 1
+    factor = [term]
+    for j in range(n):
+        term, rem = divmod(term * 3 * (b - 1 + j), j + 1)
+        if rem:
+            raise ConsistencyError(f"(1-3t)^{1 - b}: term t^{j + 1} is not an integer")
+        if not term:  # a polynomial for b <= 1: every later term is zero too
+            break
+        factor.append(term)
     num = poly_mul(f.numer, factor, n)
     return sum(map(mul, num, binomial_diagonal(3 * n + f.pow1t, n, len(num))))
 

@@ -176,11 +176,6 @@ def _lift(row: list[int]) -> tuple[list, Callable[[], ContextManager]]:
 # the auxiliary coefficient sequences and the Cramer quotients, in x = z^2
 # ---------------------------------------------------------------------------
 
-def _step(u: list[int], v: list[int], shift: int, sign: int, cap: int) -> list[int]:
-    """One step of a sequence's recurrence: u + sign x^shift v, truncated at x^cap."""
-    return shifted_sum(u, v, shift, sign, cap)
-
-
 def _sequence(name: str, cap: int) -> Iterator[list[int]]:
     """The stream of a_n ("a"), beta_n ("b") or d_m ("d") as coefficient
     lists in x = z^2, truncated at x^cap (cap >= 0), holding only the last
@@ -199,8 +194,8 @@ def _sequence(name: str, cap: int) -> Iterator[list[int]]:
     yield u2
     for n in count(3):
         yield u1
-        nxt = _step(u2, u3, 1 - n % 2, 1, cap) if beta else _step(u1, u3, 1, -1, cap)
-        u3, u2, u1 = u2, u1, nxt
+        u, shift, sign = (u2, 1 - n % 2, 1) if beta else (u1, 1, -1)
+        u3, u2, u1 = u2, u1, shifted_sum(u, u3, shift, sign, cap)
 
 
 def _term(name: str, n: int, cap: int) -> list[int]:
@@ -347,18 +342,22 @@ def _system_matrix(direction: Direction, m: int) -> list[list[tuple[int, ...]]]:
     return lr if direction is Direction.LR else [list(row) for row in zip(*lr)]
 
 
-def _bareiss(mat: list[list], rhs: Optional[list] = None) -> list:
-    """Determinant of a square matrix over Z[z] (entries are coefficient
-    lists, lowest power first), as a trimmed list, by fraction-free
-    (Bareiss) elimination on the entries' integer values at z = 2^B.
+def _bareiss(mat: list[list], rhs: list) -> tuple[list[int], list[list[int]]]:
+    """det(mat) and adj(mat) rhs, for a square matrix over Z[z] and a column
+    of as many entries (coefficient lists, lowest power first), as trimmed
+    lists, by one fraction-free Gauss-Jordan elimination of mat augmented by
+    rhs, on the entries' integer values at z = 2^B.  Entry q of adj(mat) rhs
+    is det(mat) x_q where mat x = rhs: the determinant with column q
+    replaced by rhs (Cramer's rule).
 
-    With `rhs`, a column of m entries, the elimination runs on the matrix
-    augmented by it and also clears the entries above each pivot
-    (fraction-free Gauss-Jordan), and it returns instead the m trimmed
-    lists adj(mat) rhs: entry q is det(mat) x_q where mat x = rhs, the
-    determinant with column q replaced by rhs (Cramer's rule).  After the
-    last step every diagonal entry is the determinant and the augmented
-    column is that vector; a singular matrix is a ValueError.
+    Step r sets each entry right of the pivot, in every other row, to
+    (a p - b c) / prev, with p the pivot, b and c the entries in its column
+    and row, and prev the previous pivot; Sylvester's identity makes the
+    division exact, and its remainder is checked.  The rows below the pivot
+    are Bareiss's, so pivot r is the leading (r+1)-minor: the determinant
+    is the last pivot, prev, and the augmented column ends as adj(mat) rhs.
+    The empty matrix leaves prev = 1, so its determinant is [1] and its
+    column [].
 
     Each result's absolute coefficients sum to at most the product over
     rows of each row's absolute coefficient sum, rhs entry included (expand
@@ -368,46 +367,36 @@ def _bareiss(mat: list[list], rhs: Optional[list] = None) -> list:
     bounds the digit loop; a digit left over (B too small) is a
     ConsistencyError.
 
-    Step r sets each entry right of the pivot, in every row below it (and
-    above it, with rhs), to (a p - b c) / prev, with p the pivot, b and c
-    the entries in its column and row, and prev the previous pivot;
-    Sylvester's identity makes the division exact, and its remainder is
-    checked.  A zero pivot swaps in the first row below with a nonzero entry
-    in its column, flipping the sign; with no such row the determinant is
-    zero.  The empty matrix has determinant 1.
+    No row is swapped: a zero pivot is a ConsistencyError, never a wrong
+    result, and on the system matrices no pivot is zero.  Their entries
+    depend only on (i, j) (`_system_matrix`), so the leading r x r block of
+    an m x m system matrix is the r x r system matrix, for LR and for RL,
+    its transpose.  At z = 0 that matrix is the identity, so the leading
+    minor has constant term 1: it is a nonzero polynomial.  Every row holds
+    its diagonal 1, so no row sum is 0, and the minor's coefficients obey
+    the bound on B as well (its rows' sums are at most the whole rows').  A
+    nonzero polynomial whose coefficients B bounds has a nonzero value at
+    2^B, and that value is the pivot.
     """
-    m = len(mat)
-    if m == 0:
-        return [1] if rhs is None else []
-    if rhs is not None:
-        mat = [[*row, e] for row, e in zip(mat, rhs)]
+    mat = [[*row, e] for row, e in zip(mat, rhs, strict=True)]
     degree = sum(max(len(e) for e in row) - 1 for row in mat)
     bits = prod(sum(abs(c) for e in row for c in e) for row in mat).bit_length() + 1
     mat = [[sum(c << (bits * k) for k, c in enumerate(e)) for e in row] for row in mat]
-    width = len(mat[0])
-    sign = 1
     prev = 1
-    for r in range(m):
-        if not mat[r][r]:
-            swap = next((i for i in range(r + 1, m) if mat[i][r]), None)
-            if swap is None:
-                if rhs is not None:
-                    raise ValueError("singular matrix: no adjugate column")
-                return []
-            mat[r], mat[swap] = mat[swap], mat[r]
-            sign = -sign
-        pivot, pivot_row = mat[r][r], mat[r]
-        for row in mat[r + 1:] if rhs is None else mat[:r] + mat[r + 1:]:
+    for r, pivot_row in enumerate(mat):
+        pivot = pivot_row[r]
+        if not pivot:
+            raise ConsistencyError(f"Bareiss pivot {r} is zero")
+        for row in mat[:r] + mat[r + 1:]:
             b = row[r]
-            for j in range(r + 1, width):
+            for j in range(r + 1, len(row)):
                 row[j], rem = divmod(row[j] * pivot - b * pivot_row[j], prev)
                 if rem:
                     raise ConsistencyError("Bareiss division was not exact")
         prev = pivot
     half = 1 << (bits - 1)
     polys = []
-    for value in [mat[-1][-1]] if rhs is None else [row[-1] for row in mat]:
-        value *= sign
+    for value in [prev, *(row[-1] for row in mat)]:
         coeffs = []
         while value and len(coeffs) <= degree:
             value, digit = divmod(value + half, 2 * half)
@@ -415,36 +404,41 @@ def _bareiss(mat: list[list], rhs: Optional[list] = None) -> list:
         if value:
             raise ConsistencyError(f"Bareiss determinant has more than {degree + 1} digits")
         polys.append(coeffs)
-    return polys[0] if rhs is None else polys
+    return polys[0], polys[1:]
 
 
 def det_direct(m: int, order: int) -> ZSeries:
     """Determinant of the m x m LR system matrix over Z[z] (the oracle for
-    det_d) by fraction-free (Bareiss) elimination on its integer values at
-    one power of two (`_bareiss`), truncated at z^order; the RL numerators
+    det_d), truncated at z^order: the determinant that one fraction-free
+    Gauss-Jordan elimination (`_bareiss`) of the matrix augmented by e_1
+    returns, on its integer values at one power of two; the RL numerators
     Delta_{m,q} come from `deltas_direct`.  A direct elimination,
     independent of the recurrences it checks: O(m^3) entry updates, each two
     products and a checked exact division of integers of O(m B) bits,
-    B = O(m log m) bits per coefficient.
+    B = O(m log m) bits per coefficient.  No pivot is zero (`_bareiss`).
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return place(_bareiss(_system_matrix(Direction.LR, m)), order)
+    e1 = [(1,) if i == 0 else () for i in range(m)]
+    det, _ = _bareiss(_system_matrix(Direction.LR, m), e1)
+    return place(det, order)
 
 
 def deltas_direct(m: int, order: int) -> list[ZSeries]:
     """Delta_{m,1}..Delta_{m,m}, truncated at z^order, from one elimination
     (`_bareiss`) of the RL matrix A augmented by e_1.  Delta_{m,q}, the
     determinant of A with column q replaced by e_1, is the cofactor C_{1,q}
-    = det(A) x_q where A x = e_1: the first column of adj(A)."""
+    = det(A) x_q where A x = e_1: the first column of adj(A), the column
+    the elimination returns.  No pivot is zero (`_bareiss`)."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     if order < 0:
         raise ValueError("order must be nonnegative")
     e1 = [(1,) if i == 0 else () for i in range(m)]
-    return [place(c, order) for c in _bareiss(_system_matrix(Direction.RL, m), e1)]
+    _, column = _bareiss(_system_matrix(Direction.RL, m), e1)
+    return [place(c, order) for c in column]
 
 
 # ---------------------------------------------------------------------------

@@ -100,14 +100,14 @@ class TestAnBn:
     def test_linear_recurrence_steps(self, monkeypatch):
         # one pass over each stream; restarting it for every n makes about
         # n^2 / 2 steps per stream (over 800 for n <= 30)
-        real, steps = strip._step, 0
+        real, steps = strip.shifted_sum, 0
 
         def counting(*args):
             nonlocal steps
             steps += 1
             return real(*args)
 
-        monkeypatch.setattr(strip, "_step", counting)
+        monkeypatch.setattr(strip, "shifted_sum", counting)
         assert verify_an_bn(root_set(0.1), 30) == []
         assert 0 < steps <= 2 * 31
 

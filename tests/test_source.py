@@ -59,6 +59,27 @@ def references(tree):
             yield node.name
 
 
+def pass_throughs(tree):
+    """The functions and methods whose body, after any docstring, is only
+    `return g(p1, ..., pn)`: their own parameters, in order, and no
+    keywords.  Each as (name, line)."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = node.body
+        if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]
+        if len(body) != 1 or not isinstance(body[0], ast.Return):
+            continue
+        call = body[0].value
+        args = node.args
+        params = [a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]]
+        if (isinstance(call, ast.Call) and not call.keywords
+                and not (args.vararg or args.kwarg)
+                and [a.id if isinstance(a, ast.Name) else None for a in call.args] == params):
+            yield node.name, node.lineno
+
+
 def test_every_private_name_is_used():
     # a private helper left behind by a refactor has no caller in the package
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
@@ -86,3 +107,14 @@ def test_every_public_name_is_used():
     tracing = ast.parse((PERFBENCH / "tracing.py").read_text())
     strings = {n.value for n in ast.walk(tracing) if isinstance(n, ast.Constant)}
     assert {label.split(".", 1)[1] for label in UNREACHED} <= strings
+
+
+def test_no_function_only_passes_its_arguments_on():
+    # a wrapper that hands its parameters, unchanged, to one other function
+    # adds a name and a frame but no behaviour: its callers can call the
+    # function it wraps
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert "strip.py" in trees  # an empty glob would pass vacuously
+    found = [f"{module}:{line} {name}" for module, tree in trees.items()
+             for name, line in pass_throughs(tree)]
+    assert not found, f"functions that only pass their arguments on: {found}"

@@ -2,12 +2,13 @@
 
 import builtins
 import decimal
+import sys
 from collections import Counter
 from functools import lru_cache, partial
 from itertools import permutations
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from deutsch_paths import strip, verify
 from deutsch_paths.closed import count_rl_closed
@@ -407,7 +408,7 @@ class TestSequences:
     def test_terms_one_pass_of_their_own_stream(self, monkeypatch):
         # d comes from its own recurrence, never from the a stream it is
         # checked against, and n terms cost O(n) steps
-        real_sequence, real_step = strip._sequence, strip._step
+        real_sequence, real_step = strip._sequence, strip.shifted_sum
         streams, steps = [], 0
 
         def sequence(name, cap):
@@ -420,7 +421,7 @@ class TestSequences:
             return real_step(*args)
 
         monkeypatch.setattr(strip, "_sequence", sequence)
-        monkeypatch.setattr(strip, "_step", step)
+        monkeypatch.setattr(strip, "shifted_sum", step)
         for name in ("a", "b", "d"):
             streams.clear()
             steps = 0
@@ -505,22 +506,77 @@ class TestDeterminants:
         assert det_direct(0, 4) == ZSeries.one(4)
 
 
+def leading_minors_nonzero(mat):
+    """Whether every leading r x r minor of `mat`, r = 1..m, is nonzero."""
+    return all(leibniz_det([row[:r] for row in mat[:r]]) for r in range(1, len(mat) + 1))
+
+
+def systems(max_n, max_len):
+    """An n x n matrix over Z[z], n = 1..max_n, and a right-hand side, with
+    entries as coefficient lists of at most max_len coefficients.  Three
+    draws in four give each diagonal entry a nonzero constant term, which
+    makes a zero leading minor rare; the fourth is unconstrained."""
+    coeffs = st.integers(-10**6, 10**6)
+    entry = st.lists(coeffs, max_size=max_len)
+    unit = st.builds(lambda c, rest: [c, *rest], coeffs.filter(bool),
+                     st.lists(coeffs, max_size=max_len - 1))
+
+    def system(n, biased):
+        diagonal = unit if biased else entry
+        rows = [st.tuples(*(diagonal if i == j else entry for j in range(n))).map(list)
+                for i in range(n)]
+        return st.tuples(st.tuples(*rows).map(list), st.lists(entry, min_size=n, max_size=n))
+
+    biased = st.sampled_from([False, True, True, True])
+    return st.tuples(st.integers(1, max_n), biased).flatmap(lambda a: system(*a))
+
+
 class TestBareiss:
-    def test_zero_pivot_swaps_rows_and_flips_sign(self):
-        assert strip._bareiss([[[], [1]], [[1], []]]) == [-1]
-        # expanding along the second row: -(z * z^2 - 1) = 1 - z^3
-        assert strip._bareiss([[[], [0, 1], [1]], [[1], [], []], [[], [1], [0, 0, 1]]]) == [1, 0, 0, -1]
+    def test_zero_pivot_raises(self):
+        # no row swap: a zero leading minor is a named guard, not a result
+        with pytest.raises(ConsistencyError, match="^Bareiss pivot 0 is zero$"):
+            strip._bareiss([[[], [1]], [[1], []]], [[1], []])
+        with pytest.raises(ConsistencyError, match="^Bareiss pivot 0 is zero$"):
+            strip._bareiss([[[], [0, 1], [1]], [[1], [], []], [[], [1], [0, 0, 1]]], [[], [], []])
 
     def test_singular(self):
-        assert strip._bareiss([[[1], [2]], [[2], [4]]]) == []
-        assert strip._bareiss([[[], [1]], [[0, 0], [0, 1]]]) == []
+        # no determinant [] and no ValueError: the last pivot is zero
+        with pytest.raises(ConsistencyError, match="^Bareiss pivot 1 is zero$"):
+            strip._bareiss([[[0, 1], [1]], [[0, 0, 1], [0, 1]]], [[], []])
 
-    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
-        st.lists(st.lists(st.integers(-10**6, 10**6), max_size=5), min_size=n, max_size=n),
-        min_size=n, max_size=n)))
-    @settings(max_examples=60)
-    def test_matches_permutation_expansion(self, mat):
-        assert strip._bareiss(mat) == leibniz_det(mat)
+    def test_singular_has_no_adjugate_column(self):
+        # a singular system with a nonzero rhs is the same named guard;
+        # the empty matrix has determinant 1 and an empty column
+        with pytest.raises(ConsistencyError, match="^Bareiss pivot 1 is zero$"):
+            strip._bareiss([[[1], [2]], [[2], [4]]], [[1], []])
+        assert strip._bareiss([], []) == ([1], [])
+
+    def test_short_column_raises(self):
+        # a column shorter than the matrix is an error, not a smaller determinant
+        with pytest.raises(ValueError):
+            strip._bareiss([[[1], []], [[], [1]]], [[1]])
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_system_matrix_leading_blocks(self, direction):
+        # the lemma behind "no pivot is zero": every leading block of a
+        # system matrix is the smaller system matrix, the identity at z = 0
+        for m in range(31):
+            mat = strip._system_matrix(direction, m)
+            assert all([row[:r] for row in mat[:r]] == strip._system_matrix(direction, r)
+                       for r in range(m + 1)), m
+            at_zero = [[e[0] if e else 0 for e in row] for row in mat]
+            assert at_zero == [[int(i == j) for j in range(m)] for i in range(m)], m
+
+    @given(systems(5, 5))
+    @settings(max_examples=120)
+    def test_matches_permutation_expansion(self, system):
+        mat, rhs = system
+        if leading_minors_nonzero(mat):
+            det, _ = strip._bareiss(mat, rhs)
+            assert det == leibniz_det(mat)
+        else:
+            with pytest.raises(ConsistencyError, match="^Bareiss pivot [0-9]+ is zero$"):
+                strip._bareiss(mat, rhs)
 
     def test_short_bound_raises(self, monkeypatch):
         # B = 1: det = 1 is then a fixed point of the digit loop, which
@@ -537,23 +593,19 @@ class TestBareiss:
         with pytest.raises(ConsistencyError, match="^Bareiss division was not exact$"):
             det_direct(3, 4)
 
-    def test_singular_has_no_adjugate_column(self):
-        with pytest.raises(ValueError, match="singular"):
-            strip._bareiss([[[1], [2]], [[2], [4]]], [[1], []])
-        assert strip._bareiss([], []) == []
-
-    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
-        st.lists(st.lists(st.lists(st.integers(-10**6, 10**6), max_size=4), min_size=n, max_size=n),
-                 min_size=n, max_size=n),
-        st.lists(st.lists(st.integers(-10**6, 10**6), max_size=4), min_size=n, max_size=n))))
-    @settings(max_examples=60)
+    @given(systems(4, 4))
+    @settings(max_examples=120)
     def test_adjugate_column_matches_permutation_expansion(self, system):
         # entry q: the determinant with column q replaced by rhs (Cramer)
         mat, rhs = system
-        assume(leibniz_det(mat))
-        replaced = [[[r if j == q else e for j, e in enumerate(row)] for row, r in zip(mat, rhs)]
-                    for q in range(len(mat))]
-        assert strip._bareiss(mat, rhs) == [leibniz_det(a) for a in replaced]
+        if leading_minors_nonzero(mat):
+            replaced = [[[r if j == q else e for j, e in enumerate(row)] for row, r in zip(mat, rhs)]
+                        for q in range(len(mat))]
+            _, column = strip._bareiss(mat, rhs)
+            assert column == [leibniz_det(a) for a in replaced]
+        else:
+            with pytest.raises(ConsistencyError, match="^Bareiss pivot [0-9]+ is zero$"):
+                strip._bareiss(mat, rhs)
 
     def test_adjugate_short_bound_raises(self, monkeypatch):
         # Delta_(1,1) = 1 at B = 1, as in test_short_bound_raises
@@ -580,14 +632,14 @@ class TestBareiss:
         bareiss = strip._bareiss
         runs = Counter()
 
-        def counting_bareiss(mat, rhs=None):
-            runs["rhs" if rhs is not None else "det"] += 1
+        def counting_bareiss(mat, rhs):
+            runs[sys._getframe(1).f_code.co_name] += 1
             return bareiss(mat, rhs)
 
         monkeypatch.setattr(strip, "_bareiss", counting_bareiss)
         assert verify.suite_cramer().passed
         # d_m for m = 0..12, and Delta_(m,1..m) for m = 1..12: not 78
-        assert runs == {"det": 13, "rhs": 12}
+        assert runs == {"det_direct": 13, "deltas_direct": 12}
 
 
 class TestCramer:
@@ -692,7 +744,6 @@ class TestStabilized:
             raise AssertionError("the Cramer route took a recurrence step")
 
         monkeypatch.setattr(strip, "_term", counting_term)
-        monkeypatch.setattr(strip, "_step", no_recurrence)
         monkeypatch.setattr(strip, "_sequence", no_recurrence)
 
         def numerator_terms(h):
