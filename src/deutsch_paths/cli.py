@@ -165,11 +165,19 @@ def cmd_series(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
     return 0, _table(args.format, {}, [coeffs])
 
 
+# the area lists for n = 0, 1, ..., as long as the largest --nmax served in
+# this process: a shorter request slices them, a longer one extends each by
+# the n it lacks, and every request compares its two slices
+_AREA_BY_SUM: list[int] = []
+_AREA_BY_GF: list[int] = []
+
+
 def cmd_area(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
     ns = list(range(args.nmax + 1))
-    by_sum = [closed.area_coeff(n) for n in ns]
+    _AREA_BY_SUM.extend(closed.area_coeff(n) for n in ns[len(_AREA_BY_SUM):])
     gf = closed.area_gf()
-    by_gf = [coeff_x(gf, n) for n in ns]
+    _AREA_BY_GF.extend(coeff_x(gf, n) for n in ns[len(_AREA_BY_GF):])
+    by_sum, by_gf = _AREA_BY_SUM[: args.nmax + 1], _AREA_BY_GF[: args.nmax + 1]
     if by_sum != by_gf:
         print(f"area mismatch: closed sum {by_sum} vs GF extraction {by_gf}", file=sys.stderr)
         return 1, iter(())  # no output

@@ -110,18 +110,24 @@ def shifted_sum(u: list[int], v: list[int], shift: int = 0, sign: int = 1,
     return list(map(add if sign > 0 else sub, u, v))
 
 
-def divide(num: Sequence[int], den: Sequence[int]) -> list[int]:
+def divide(num: Sequence[int], den: Sequence[int], known: Sequence[int] = ()) -> list[int]:
     """num / den as a power series, to num's length, for den_0 = c0 = +-1:
-    q_k = c0 (num_k - sum_{j>=1} den_j q_{k-j}), one dot product each."""
+    q_k = c0 (num_k - sum_{j>=1} den_j q_{k-j}), one dot product each.
+
+    `known`, at most num's length, is the quotient's first coefficients,
+    already computed: the loop starts after them.  The division is
+    triangular (q_k reads num_k, den and q_0..q_{k-1} only), so any list
+    that equals num / den up to its length resumes it exactly, wherever
+    it came from, and costs nothing for the coefficients it holds."""
     c0 = den[0]
     if c0 not in (1, -1):
         raise ValueError(f"series with constant term {c0} is not invertible over Z")
     rev = den[:0:-1]  # den_deg, ..., den_1
     deg = len(rev)
-    quot: list[int] = []
-    for k, c in enumerate(num):
+    quot = list(known)
+    for k in range(len(quot), len(num)):
         t = min(k, deg)
-        quot.append(c0 * (c - sum(map(mul, rev[deg - t:], quot[k - t:]))))
+        quot.append(c0 * (num[k] - sum(map(mul, rev[deg - t:], quot[k - t:]))))
     return quot
 
 

@@ -26,7 +26,7 @@ from enum import Enum
 from functools import partial
 from itertools import count
 from math import comb, prod
-from typing import Callable, ContextManager, Iterator, Optional
+from typing import Callable, ContextManager, Iterator, Optional, Sequence
 
 from .errors import ConsistencyError
 from .series import ZSeries, divide, place, poly_mul, shifted_sum
@@ -269,17 +269,19 @@ def _numerator(direction: Direction, level: int, m: int, cap: int) -> list[int]:
     return total + [0] * (cap + 1 - len(total))
 
 
-def _cramer(direction: Direction, level: int, h: int, order: int) -> ZSeries:
+def _cramer(direction: Direction, level: int, h: int, order: int,
+            known: Sequence[int] = ()) -> ZSeries:
     """The Cramer quotient numerator / d_{h+1} of `level` at barrier h, with
     every sequence term it needs taken from one binomial walk (`_term`), so
     its cost does not grow with h.  The quotient is z^(level mod 2) times a
-    series in x, divided in x."""
+    series in x, divided in x, resuming from `known`, its first
+    coefficients in x (`divide`)."""
     parity = level % 2
     cap = _cap(order, parity)
     den = _term("d", h + 1, cap)
     if den[0] != 1:
         raise ConsistencyError(f"d_{h + 1} has constant term {den[0]}, not 1")
-    return place(divide(_numerator(direction, level, h + 1, cap), den), order, parity, 2)
+    return place(divide(_numerator(direction, level, h + 1, cap), den, known), order, parity, 2)
 
 
 def sequence_terms(name: str, n: int, order: int) -> list[ZSeries]:
@@ -459,19 +461,57 @@ def bounded_g(i: int, h: int, order: int) -> ZSeries:
     return _cramer(Direction.RL, i, h, order)
 
 
+# An unbounded series at order N holds about 0.34 N^2 bits: its z^n
+# coefficient has about 1.38 n, since the counts grow like (27/4)^(n/2) (the
+# singularity at t = 1/3, where t(1 - t)^2 = z^2 = 4/27).  So this bound, 1 MiB
+# of coefficient digits, keeps one series to order ~5000, or 40 to order ~790.
+_SERIES_BITS = 1 << 23
+
+# (direction, level) -> (the x-coefficients of the longest series `stabilized`
+# returned for it, their summed bits), least recently used first
+_SERIES: dict[tuple[Direction, int], tuple[tuple[int, ...], int]] = {}
+
+
 def stabilized(direction: Direction | str, level: int, order: int) -> ZSeries:
     """The h -> infinity limit up to z^order: the Cramer quotient at the
     barrier h = order + level.
 
     Lemma: no path of length n <= order ending at `level` climbs above h, so
     up to z^order the strip [0, h] counts every unbounded path.  An LR path
-    climbs by +1 steps only, so its maximum M <= n.  An RL path descends by
-    -1 steps only, so M - level of them follow the maximum, which a step
-    reaches: M <= n + level - 1 for n >= 1 (the empty path stays at 0).
+    climbs by +1 steps only, so its maximum M <= n, and M <= n - 1 once it
+    has a down-step, which it needs when n > level: M <= max(level, n - 1).
+    An RL path descends by -1 steps only, so M - level of them follow the
+    maximum, which a step reaches: M <= n + level - 1 for n >= 1 (the empty
+    path stays at 0).  So the quotient is already exact at the barriers
+    max(level, order - 1) for LR and order + level - 1 for RL (order >= 1),
+    and at every barrier above them; h = order + level is one above either,
+    and gives the same series.
+
+    The process keeps, per (direction, level), the x-coefficients of the
+    longest series returned, up to _SERIES_BITS in all, least recently used
+    out first (a series larger than the bound is returned, not kept).  An
+    order they cover is a slice of them; a higher one divides at its own
+    barrier, resuming from them (`divide`).  That is exact: kept up to some
+    z^k, they are the true counts by the lemma, and so are the quotient's
+    at every barrier >= k + level, the new one included; the division is
+    triangular, so it continues from them as from its own.
     """
     if level < 0:
         raise ValueError("level must be nonnegative")
-    return _cramer(Direction(direction), level, order + level, order)
+    key = (Direction(direction), level)
+    parity = level % 2
+    known, bits = _SERIES.pop(key, ((), 0))
+    if len(known) > _cap(order, parity):
+        series = place(known, order, parity, 2)
+    else:
+        series = _cramer(*key, order + level, order, known)
+        known = series.coeffs[parity::2]
+        bits = sum(c.bit_length() for c in known)
+    if bits <= _SERIES_BITS:
+        _SERIES[key] = known, bits  # the most recently used, last
+        while sum(b for _, b in _SERIES.values()) > _SERIES_BITS:
+            del _SERIES[next(iter(_SERIES))]
+    return series
 
 
 def solve_system(direction: Direction | str, h: int, order: int) -> list[ZSeries]:

@@ -14,7 +14,7 @@ from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from deutsch_paths import cli, closed, strip, verify
 from deutsch_paths.cli import FORMATS, build_parser, main
@@ -29,6 +29,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def served_output(argv):
+    """`main(argv)`'s exit code, stdout and stderr, without a fixture, so a
+    hypothesis example may call it."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def triangle_output(direction, n, height, fmt):
@@ -204,6 +213,37 @@ class TestArea:
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
         assert captured.err.count("\n") == 1 and captured.err.startswith("area mismatch: ")
+
+    def test_mismatch_past_the_kept_lists(self, capsys, monkeypatch):
+        # each request compares its own slices: a fault at n = 7 fails the
+        # request that extends the lists past it, and none that stops short
+        real = cli.coeff_x
+        monkeypatch.setattr(cli, "coeff_x", lambda gf, n: real(gf, n) + (n == 7))
+        for nmax, code, out in (("5", 0, "0 1 12 102 784 5763\n"), ("9", 1, ""),
+                                ("6", 0, "0 1 12 102 784 5763 41352\n")):
+            assert main(["area", "--nmax", nmax]) == code
+            captured = capsys.readouterr()
+            assert captured.out == out
+            assert captured.err.startswith("area mismatch: ") == (code == 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 60), st.sampled_from(FORMATS)), min_size=1, max_size=8))
+    @example([(30, "text"), (10, "json"), (10, "csv"), (45, "text"), (0, "json")])
+    def test_warm_run_matches_a_cold_one(self, requests):
+        # the kept lists against the unoptimised form: every request served
+        # again on empty lists; the lists hold the largest nmax served
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_AREA_BY_SUM", [])
+            mp.setattr(cli, "_AREA_BY_GF", [])
+            for served, (nmax, fmt) in enumerate(requests, 1):
+                argv = ["area", "--nmax", str(nmax), "--format", fmt]
+                warm = served_output(argv)
+                with pytest.MonkeyPatch.context() as cold:
+                    cold.setattr(cli, "_AREA_BY_SUM", [])
+                    cold.setattr(cli, "_AREA_BY_GF", [])
+                    assert served_output(argv) == warm, argv
+                longest = max(n for n, _ in requests[:served]) + 1
+                assert len(cli._AREA_BY_SUM) == len(cli._AREA_BY_GF) == longest
 
 
 class TestVerify:

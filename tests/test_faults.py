@@ -5,6 +5,8 @@ Every row plants one fault with `monkeypatch`, on the name its caller reads
 `verify --suite all --format json` in process, and asserts the exit code
 and the exact set of checks that fail.  A fault exits 1, or 3 where a named
 guard (`ConsistencyError`) fires; its row then names the guard's message.
+A fault that no check catches exits 0 and stays in the table, marked as
+a survivor, until a check catches it.
 """
 
 import __future__
@@ -15,7 +17,7 @@ from math import prod
 
 import pytest
 
-from deutsch_paths import cli, closed, series, strip
+from deutsch_paths import cli, closed, oracle, series, strip, verify
 
 
 def mutant(func, old, new):
@@ -52,7 +54,48 @@ def diagonal_top_off_by_one(module):
 
 def divide_loses_last_coefficient(monkeypatch):
     real = strip.divide
-    monkeypatch.setattr(strip, "divide", lambda num, den: real(num, den)[:-1])
+    monkeypatch.setattr(strip, "divide", lambda num, den, known=(): real(num, den, known)[:-1])
+
+
+def divide_resumes_one_late(monkeypatch):
+    # a cold division is untouched; one that resumes from known
+    # coefficients computes its first new one a step late
+    monkeypatch.setattr(strip, "divide", mutant(
+        series.divide, "range(len(quot), len(num))", "range(len(quot) + bool(known), len(num))"))
+
+
+def row_without_parity_carry(monkeypatch):
+    monkeypatch.setattr(strip, "_next_row", mutant(
+        strip._next_row, "cur[k] = prev[k - 1] + other", "cur[k] = prev[k - 1]"))
+
+
+def g_pieces_rejected_exponent(monkeypatch):
+    # 2i - 1 - 3k is the exponent the paper's derivation rules out
+    monkeypatch.setattr(closed, "_g_pieces", mutant(
+        closed._g_pieces, "pow1t=2 * i + 1 - 3 * k", "pow1t=2 * i - 1 - 3 * k"))
+
+
+def lr_second_binomial_top_plus_one(monkeypatch):
+    monkeypatch.setattr(closed, "count_lr_closed", mutant(
+        closed.count_lr_closed, "3 * big_n - big_k + i, big_n", "3 * big_n - big_k + i + 1, big_n"))
+
+
+def stabilized_at_barrier_level(monkeypatch):
+    # verify reads the name it imported, so both names are patched
+    wrong = mutant(strip.stabilized, "order + level, order, known", "level, order, known")
+    monkeypatch.setattr(strip, "stabilized", wrong)
+    monkeypatch.setattr(verify, "stabilized", wrong)
+
+
+def rl_ceiling_one_low(monkeypatch):
+    monkeypatch.setattr(oracle, "_walk", mutant(
+        oracle._walk, "top + n - pos - 1 if rl", "top + n - pos - 2 if rl"))
+
+
+def steps_capped_at_five(monkeypatch):
+    real = oracle._steps
+    monkeypatch.setattr(oracle, "_steps", lambda direction, level, cap: (
+        step for step in real(direction, level, cap) if abs(step - level) <= 5))
 
 
 def a9_coefficient_bumped(monkeypatch):
@@ -111,6 +154,38 @@ FAULTS = {
     "Gauss-Jordan skips the rows above the pivot": (
         gauss_jordan_skips_rows_above, 1,
         {"cramer: Delta_(m,q) == direct determinant (m<=12)"}),
+    # roots asks stabilized for g_0 to order 24, then identities to order 60,
+    # which resumes from the 24's coefficients: the one resume of the run
+    "divide resumes one coefficient late": (
+        divide_resumes_one_late, 1,
+        {"identities: f_0 == g_0 to order 60"}),
+    "_next_row without its parity carry": (
+        row_without_parity_carry, 1,
+        {"dp-closed: LR closed form == DP (n<=20)",
+         "dp-closed: RL closed form == DP (n<=20, i<=12)",
+         "cramer: three-way equality (h<=10, order 20)"}),
+    "_g_pieces at the exponent 2i - 1 - 3k": (
+        g_pieces_rejected_exponent, 1,
+        {"dp-closed: RL closed form == DP (n<=20, i<=12)",
+         "area: closed sum == GF extraction == convolution (n<=30)",
+         "paper-lists: deviations match the documented errata exactly",
+         "paper-lists: f lists exact up to z^8"}),
+    "count_lr_closed's second binomial top one too high": (
+        lr_second_binomial_top_plus_one, 1,
+        {"dp-closed: LR closed form == DP (n<=20)",
+         "dp-closed: generalized Catalan identity (N<=40)"}),
+    "stabilized at the barrier h = level": (
+        stabilized_at_barrier_level, 1,
+        {"cramer: bounded coefficients grow monotonically to the limit",
+         "identities: f_0 == g_0 to order 60"}),
+    "the RL ceiling in _walk one too low": (
+        rl_ceiling_one_low, 1,
+        {f"reversal: reversal bijection at n={n}" for n in range(2, 15, 2)}),
+    # a survivor: the one check of the oracle against another route, area's,
+    # walks closed paths of length <= 6, none of which takes a step longer
+    # than 5, and reversal compares the oracle with itself
+    "_steps capped at length 5": (
+        steps_capped_at_five, 0, set()),
 }
 
 

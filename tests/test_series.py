@@ -174,6 +174,13 @@ class TestDivision:
         assert quot == a * dense_inverse(b)
         assert quot * b == a
 
+    @given(divisions())
+    def test_resumes_from_every_prefix(self, pair):
+        num, den = (list(s.coeffs) for s in pair)
+        quot = divide(num, den)
+        for k in range(len(quot) + 1):
+            assert divide(num, den, quot[:k]) == quot, k
+
     def test_non_unit_divisor_rejected(self):
         with pytest.raises(ValueError):
             divide([1, 2, 3], [2, 1, 0])

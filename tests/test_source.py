@@ -118,3 +118,34 @@ def test_no_function_only_passes_its_arguments_on():
     found = [f"{module}:{line} {name}" for module, tree in trees.items()
              for name, line in pass_throughs(tree)]
     assert not found, f"functions that only pass their arguments on: {found}"
+
+
+def module_containers(tree):
+    """The private names a module binds at its top level to a dict or a
+    list (a display, a comprehension or a dict()/list() call), each with its
+    line: the state a process keeps between calls."""
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) or node.value is None:
+            continue
+        value = node.value
+        container = isinstance(value, (ast.Dict, ast.List, ast.DictComp, ast.ListComp)) or (
+            isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id in ("dict", "list"))
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        if container:
+            yield from ((t.id, node.lineno) for t in targets
+                        if isinstance(t, ast.Name) and t.id.startswith("_")
+                        and not t.id.startswith("__"))
+
+
+def test_every_cache_starts_cold_in_tests():
+    # a private module-level dict or list outlives the test that filled it;
+    # conftest's fixture empties each one, so a test never reads another's
+    from conftest import CACHES
+
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert "strip" in trees  # an empty glob would pass vacuously
+    found = {f"{module}.{name}" for module, tree in trees.items()
+             for name, _ in module_containers(tree)}
+    reset = {f"{module.__name__.rsplit('.', 1)[1]}.{name}" for module, name in CACHES}
+    assert found == reset, f"not reset: {sorted(found - reset)}, not a cache: {sorted(reset - found)}"

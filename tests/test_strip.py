@@ -8,7 +8,7 @@ from functools import lru_cache, partial
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from deutsch_paths import strip, verify
 from deutsch_paths.closed import count_rl_closed
@@ -694,6 +694,33 @@ class TestCramer:
             call()
 
 
+def replay(calls, bound):
+    """Ask `stabilized` for each (direction, level, order) of `calls` in
+    turn, on a cache that starts empty and keeps at most `bound` bits.  The
+    first call whose series is not the quotient computed cold at the
+    barrier order + level, or after which the cache holds more than the
+    bound or misstates its bits, as (call, what went wrong); None if none."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(strip, "_SERIES", {})
+        mp.setattr(strip, "_SERIES_BITS", bound)
+        for call in calls:
+            direction, level, order = call
+            if stabilized(direction, level, order) != strip._cramer(
+                    direction, level, order + level, order):
+                return call, "not the cold quotient"
+            held = strip._SERIES.values()
+            if sum(bits for _, bits in held) > bound:
+                return call, "over the bound"
+            if any(bits != sum(c.bit_length() for c in known) for known, bits in held):
+                return call, "bits misstated"
+    return None
+
+
+_STABILIZED_CALLS = st.lists(
+    st.tuples(st.sampled_from(list(Direction)), st.integers(0, 24), st.integers(0, 120)),
+    min_size=1, max_size=30)
+
+
 def tight_barrier(direction, level, order):
     """The least barrier at which every path of length <= order ending at
     `level` fits: top is the longest such length, and an LR path of length
@@ -807,6 +834,29 @@ class TestStabilized:
         monkeypatch.setattr(strip, "divide", counting_divide)
         stabilized(direction, level, 30)
         assert len(calls) == 1
+
+    # the cache against the unoptimised form: every call computed cold.  An
+    # order-120 series holds ~5000 bits, so the small bounds evict, and 3000
+    # keeps none at the top orders
+    @settings(max_examples=60, deadline=None)
+    @given(_STABILIZED_CALLS, st.sampled_from([0, 3000, 30000, strip._SERIES_BITS]))
+    @example([(Direction.RL, 0, 10), (Direction.RL, 0, 40), (Direction.RL, 0, 40),
+              (Direction.RL, 0, 20), (Direction.RL, 0, 120), (Direction.LR, 3, 9),
+              (Direction.LR, 3, 0), (Direction.LR, 3, 1), (Direction.LR, 3, 30)], 30000)
+    @example([(Direction.LR, level, 120 - 5 * level) for level in range(25)]
+             + [(Direction.LR, level, 5 * level) for level in range(24, -1, -1)], 30000)
+    def test_cache_matches_cold_quotients(self, calls, bound):
+        assert replay(calls, bound) is None
+
+    def test_cross_check_catches_a_late_resume(self, monkeypatch):
+        # the fault row of test_faults: a cold division is right, a resumed
+        # one goes wrong from its first new coefficient
+        from test_faults import divide_resumes_one_late
+
+        calls = [(Direction.RL, 0, 24), (Direction.RL, 0, 60)]
+        assert replay(calls, strip._SERIES_BITS) is None
+        divide_resumes_one_late(monkeypatch)
+        assert replay(calls, strip._SERIES_BITS) == (calls[1], "not the cold quotient")
 
     def test_monotone_in_barrier(self):
         for level in (0, 1, 3):
