@@ -31,9 +31,7 @@ import io
 import json
 import os
 import sys
-import traceback
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import asdict
 
 from . import closed, oracle, verify
 from .errors import UsageError
@@ -153,16 +151,15 @@ def cmd_series(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
         series = fn(args.level, args.height, args.order)
     else:
         series = stabilized(args.direction, args.level, args.order)
-    coeffs = series.coeffs
     if args.format == "json":
         return 0, _document({
             "direction": args.direction,
             "level": args.level,
             "order": args.order,
             "height": args.height,
-            "coeffs": coeffs,
+            "coeffs": series,
         })
-    return 0, _table(args.format, {}, [coeffs])
+    return 0, _table(args.format, {}, [series])
 
 
 # the area lists for n = 0, 1, ..., as long as the largest --nmax served in
@@ -201,7 +198,8 @@ def _render_reports(
     name, detail or note that holds a comma is quoted: a check is the row
     [PASS/FAIL, suite, name(, detail)], a note header or a note one field."""
     if fmt == "json":
-        suites = [{**asdict(r), "passed": r.passed} for r in reports]
+        suites = [{"suite": r.suite, "checks": [c._asdict() for c in r.checks],
+                   "notes": r.notes, "passed": r.passed} for r in reports]
         yield from _document({"passed": all_passed, "suites": suites})
         return
     line = _csv_line if fmt == "csv" else (lambda fields: ": ".join(fields) + "\n")
@@ -322,6 +320,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
+        import traceback  # here, not at the top: only an internal error needs it
+
         print("internal error:", file=sys.stderr)
         traceback.print_exc()
         return 3

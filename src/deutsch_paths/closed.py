@@ -163,4 +163,4 @@ def area_convolution(order: int) -> ZSeries:
     for (p, a, b), numer in merged.items():
         base = TRational(tuple(numer), a, b)
         total[p::2] = [c + coeff_x(base, k) for k, c in enumerate(total[p::2])]
-    return ZSeries(tuple(total))
+    return ZSeries(total)

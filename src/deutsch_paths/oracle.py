@@ -4,7 +4,6 @@ the reversal bijection between the two path families."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 from typing import Iterator, Optional
@@ -14,14 +13,6 @@ from .errors import VerificationFailure
 from .strip import Direction
 
 DEFAULT_BUDGET = 16
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    """Histogram of endpoints plus the cumulative area over closed paths."""
-
-    by_level: dict[int, int]
-    total_area: int
 
 
 def _steps(direction: Direction, level: int, cap: int) -> Iterator[int]:
@@ -107,8 +98,10 @@ def enumerate_paths(
     n: int,
     height: Optional[int] = None,
     budget: int = DEFAULT_BUDGET,
-) -> OracleReport:
-    """Exhaustive walk over every legal path of length n.
+) -> tuple[dict[int, int], int]:
+    """Exhaustive walk over every legal path of length n: (by_level,
+    total_area), the histogram of endpoints and the cumulative area over
+    the closed paths.
 
     Only counts and the closed-path area are accumulated.  Unbounded RL paths
     have infinitely many endpoints, so the histogram keeps the levels <= n
@@ -120,7 +113,7 @@ def enumerate_paths(
     for paths in _walk(Direction(direction), n, height, n if height is None else height, budget):
         by_level.update(path[-1] for path in paths)
         total_area += sum(sum(path) for path in paths if path[-1] == 0)
-    return OracleReport(dict(by_level), total_area)
+    return dict(by_level), total_area
 
 
 def generate_closed(
@@ -161,7 +154,7 @@ def area_check(n_max: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, int]
     every half-length n <= n_max; returns the agreed (n, area) pairs."""
     results = []
     for n in range(n_max + 1):
-        oracle = enumerate_paths(Direction.LR, 2 * n, budget=budget).total_area
+        _, oracle = enumerate_paths(Direction.LR, 2 * n, budget=budget)
         formula = area_coeff(n)
         if oracle != formula:
             raise VerificationFailure(

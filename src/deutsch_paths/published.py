@@ -13,7 +13,7 @@ diff, so any drift in either direction is caught.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .closed import count_lr_closed, count_rl_closed
 
@@ -38,13 +38,9 @@ PRINTED_G: dict[int, dict[int, int]] = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class Deviation:
-    family: str  # "f" or "g"
-    level: int
-    order: int
-    printed: int
-    computed: int
+# one printed coefficient that differs from the computed count; family is
+# "f" or "g"
+Deviation = namedtuple("Deviation", "family level order printed computed")
 
 
 # every printed f coefficient at order >= 9 is a finite-barrier artifact;

@@ -8,7 +8,7 @@ the two auxiliary sequences numerically at sampled parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .strip import Direction, sequence_terms, stabilized
 
@@ -16,22 +16,8 @@ DISC_RADIUS_SQ = 4.0 / 27.0  # singularity of t(x) sits at t = 1/3
 TOL = 1e-10  # residual bound of the verify_* checks (g adds its series tail)
 
 
-@dataclass(frozen=True)
-class RootSet:
-    """Numeric values of all radical quantities at a parameter t in (0, 1/3)."""
-
-    t: float
-    w: float
-    z: float
-    r1: float
-    r2: float
-    r3: float
-    mu1: float
-    mu2: float
-    mu3: float
-    a: float
-    b: float
-    c: float
+# numeric values of all radical quantities at a parameter t in (0, 1/3)
+RootSet = namedtuple("RootSet", "t w z r1 r2 r3 mu1 mu2 mu3 a b c")
 
 
 def root_set(t: float) -> RootSet:
@@ -130,7 +116,7 @@ def verify_g_numeric(i: int, order: int, z: float) -> list[str]:
     t = t_of_z(z)
     series = stabilized(Direction.RL, i, order)
     partial = series.eval_float(z)
-    last = next((c * z**p for p, c in reversed(list(enumerate(series.coeffs))) if c), 0.0)
+    last = next((c * z**p for p, c in reversed(list(enumerate(series))) if c), 0.0)
     if i == 0:
         value = 1 / (1 - t)
     else:

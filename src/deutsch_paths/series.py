@@ -7,13 +7,19 @@ contour-style coefficient extraction that only ever touches integer
 binomials, walked by exact ratios.  One kernel does the list arithmetic of
 every exact route: `poly_mul` (the product), `shifted_sum` (u +- x^s v) and
 `place` (coefficients into a truncated ZSeries at z^(shift + stride k)).
-A closed form is a `TRational`, its numerator a trimmed coefficient tuple;
-`IntPoly` serves only the tests and the benchmark's tracer.
+
+Every value here is a tuple.  A `ZSeries` is the tuple of its coefficients
+up to its order, an `IntPoly` the tuple of its coefficients without
+trailing zeros, and a closed form a `TRational`, a named tuple whose
+numerator is a trimmed coefficient tuple.  ZSeries and IntPoly stay classes
+for their methods alone: the benchmark's tracer patches ZSeries's
+operators, `shift` and `inverse`, and `IntPoly.divmod_by`, by name on the
+class.  `IntPoly` serves only the tests and that tracer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import count, islice
 from math import comb
 from operator import add, mul, sub
@@ -34,44 +40,40 @@ def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
     return tuple(cs)
 
 
-@dataclass(frozen=True)
-class IntPoly:
-    """Dense integer polynomial; the zero polynomial has an empty tuple.
+class IntPoly(tuple):
+    """Dense integer polynomial: its items are its coefficients, lowest power
+    first, without trailing zeros; the zero polynomial is empty.
 
     No route computes with it: every exact route works on coefficient lists
     and tuples (`poly_mul`, `shifted_sum`, `divide`, `place`).  It is the
     reference polynomial of the tests (their fraction-free elimination
     subclasses it), and `divmod_by` is a traced layer of the benchmark."""
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def __new__(cls, coeffs: Iterable[int] = ()) -> "IntPoly":
+        return super().__new__(cls, _trim(coeffs))
 
     def divmod_by(self, divisor: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
         """Top-down long division: (q, r) with self = q divisor + r and
         deg r < deg divisor.  When the divisor's leading coefficient does not
         divide a step's leading term, the divisor does not divide self in
         Z[t], and the result is (0, self)."""
-        if divisor.is_zero():
+        if not divisor:
             raise ZeroDivisionError("division by zero polynomial")
-        den = divisor.coeffs
-        rem = list(self.coeffs)
-        dd = len(den) - 1
+        rem = list(self)
+        dd = len(divisor) - 1
         quot = [0] * max(len(rem) - dd, 0)
         for k in range(len(rem) - 1, dd - 1, -1):
             if rem[k] == 0:
                 continue
-            c, inexact = divmod(rem[k], den[-1])
+            c, inexact = divmod(rem[k], divisor[dd])
             if inexact:
                 return IntPoly(), self
             quot[k - dd] = c
-            for j, b in enumerate(den, k - dd):
+            for j, b in enumerate(divisor, k - dd):
                 rem[j] -= c * b
-        return IntPoly(tuple(quot)), IntPoly(tuple(rem))
+        return IntPoly(quot), IntPoly(rem)
 
 
 def poly_mul(u: Sequence[int], v: Sequence[int], cap: Optional[int] = None) -> list[int]:
@@ -135,23 +137,27 @@ def divide(num: Sequence[int], den: Sequence[int], known: Sequence[int] = ()) ->
 # truncated z-series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ZSeries:
-    """Power series in z truncated (inclusively) at an explicit order: the
-    value every exact route returns.  The routes compute on coefficient
-    lists (`poly_mul`, `shifted_sum`, `divide`, `place`); the operators here
-    are the reference algebra the tests check them against.
+class ZSeries(tuple):
+    """Power series in z truncated (inclusively) at an explicit order: a
+    tuple whose items are its coefficients, the value every exact route
+    returns.  The routes compute on coefficient lists (`poly_mul`,
+    `shifted_sum`, `divide`, `place`); the operators here are the reference
+    algebra the tests check them against.
 
     Mixing orders is an error by design: silent re-truncation is the classic
-    source of wrong coefficients.
+    source of wrong coefficients.  So two series of different orders are
+    unequal, as tuples of different lengths, the operators reject them, and
+    an int index outside 0..order raises where a tuple would count from the
+    end.  A slice is a plain tuple of coefficients.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if not self.coeffs:
+    def __new__(cls, coeffs: Iterable[int]) -> "ZSeries":
+        self = super().__new__(cls, coeffs)
+        if not self:
             raise ValueError("a ZSeries needs at least the z^0 coefficient")
+        return self
 
     @classmethod
     def zero(cls, order: int) -> "ZSeries":
@@ -163,12 +169,12 @@ class ZSeries:
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self) - 1
 
-    def __getitem__(self, k: int) -> int:
-        if not 0 <= k <= self.order:
+    def __getitem__(self, k: int | slice) -> int | tuple[int, ...]:
+        if isinstance(k, int) and not 0 <= k < len(self):
             raise IndexError(f"coefficient z^{k} beyond truncation order {self.order}")
-        return self.coeffs[k]
+        return super().__getitem__(k)
 
     def _check_order(self, other: "ZSeries") -> None:
         if self.order != other.order:
@@ -178,31 +184,31 @@ class ZSeries:
 
     def __add__(self, other: "ZSeries") -> "ZSeries":
         self._check_order(other)
-        return ZSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return ZSeries(map(add, self, other))
 
     def __sub__(self, other: "ZSeries") -> "ZSeries":
         self._check_order(other)
-        return ZSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return ZSeries(map(sub, self, other))
 
     def __mul__(self, other: "ZSeries") -> "ZSeries":
         self._check_order(other)
         # a list for v: poly_mul slices v on each row
-        return ZSeries(tuple(poly_mul(self.coeffs, list(other.coeffs), self.order)))
+        return ZSeries(poly_mul(self, list(other), self.order))
 
     def shift(self, p: int) -> "ZSeries":
         """Multiply by z^p, truncating at the same order."""
         if p < 0:
             raise ValueError("negative shift")
-        return place(self.coeffs, self.order, p)
+        return place(self, self.order, p)
 
     def inverse(self) -> "ZSeries":
         """Multiplicative inverse; requires constant coefficient +-1.  One
         dot product per coefficient (`divide`), O(order^2) in all."""
-        return ZSeries(tuple(divide(ZSeries.one(self.order).coeffs, self.coeffs)))
+        return ZSeries(divide(ZSeries.one(self.order), self))
 
     def eval_float(self, z: float) -> float:
         acc = 0.0
-        for a in reversed(self.coeffs):
+        for a in reversed(self):
             acc = acc * z + a
         return acc
 
@@ -215,31 +221,29 @@ def place(coeffs: Iterable[int], order: int, shift: int = 0, stride: int = 1) ->
     slots = len(range(shift, order + 1, stride))
     taken = list(islice(coeffs, slots))
     cs[shift::stride] = taken + [0] * (slots - len(taken))
-    return ZSeries(tuple(cs))
+    return ZSeries(cs)
 
 
 # ---------------------------------------------------------------------------
 # closed forms: P(t) * (1-t)^-a * (1-3t)^-b * z^p
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TRational:
+class TRational(namedtuple("TRational", "numer pow1t pow13t zshift")):
     """Formal expression numer(t) / ((1-t)^a (1-3t)^b) with a prefactor z^p.
 
-    `numer` is a tuple of integer coefficients, lowest power first, stored
-    without trailing zeros, so equal expressions compare equal; () is zero."""
+    `numer` is a plain tuple of integer coefficients, lowest power first,
+    stored without trailing zeros, so equal expressions compare equal; ()
+    is zero."""
 
-    numer: tuple[int, ...] = (1,)
-    pow1t: int = 0
-    pow13t: int = 0
-    zshift: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.numer, tuple):
-            raise TypeError(f"a TRational numerator is a tuple, not {type(self.numer).__name__}")
-        if self.pow1t < 0 or self.pow13t < 0 or self.zshift < 0:
+    def __new__(cls, numer: tuple[int, ...] = (1,), pow1t: int = 0, pow13t: int = 0,
+                zshift: int = 0) -> "TRational":
+        if type(numer) is not tuple:
+            raise TypeError(f"a TRational numerator is a tuple, not {type(numer).__name__}")
+        if pow1t < 0 or pow13t < 0 or zshift < 0:
             raise ValueError("exponents of a TRational must be nonnegative")
-        object.__setattr__(self, "numer", _trim(self.numer))
+        return super().__new__(cls, _trim(numer), pow1t, pow13t, zshift)
 
     def drop_zshift(self) -> "TRational":
         return TRational(self.numer, self.pow1t, self.pow13t, 0)
@@ -312,4 +316,4 @@ def t_series(order: int) -> ZSeries:
     """The branch t(x) with t(0)=0 of t(1-t)^2 = x, as a series in x."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return ZSeries(tuple(coeff_x(T_OVER_ONE, n) for n in range(order + 1)))
+    return ZSeries(coeff_x(T_OVER_ONE, n) for n in range(order + 1))

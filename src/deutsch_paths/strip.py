@@ -15,13 +15,15 @@ term for LR, at most two products for RL (b_n = b_{n-2} + z b_{n-3} folds
 the cofactor expansion's four).  `_cramer` divides it by d_{h+1} and
 builds one ZSeries at the end; the recurrences (`_sequence`) serve
 `sequence_terms`.  The banded solve computes on coefficient lists in z
-too, and the direct determinants on integers: a ZSeries is only the value
-a route returns.
+too, and the direct determinants on integers: a ZSeries, the tuple of a
+series' coefficients up to its order, is only the value a route returns.
+A DP table is a `CountTable`, a named tuple (direction, height, rows)
+with its `count` lookup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import partial
 from itertools import count
@@ -41,17 +43,15 @@ class Direction(Enum):
     RL = "rl"
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """Triangle of path counts by (length, end level); `direction` is a
-    Direction or its value."""
+class CountTable(namedtuple("CountTable", "direction height rows")):
+    """Triangle of path counts by (length, end level): `height` None is
+    unbounded, and `direction` is a Direction or its value."""
 
-    direction: Direction
-    height: Optional[int]  # None = unbounded
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "direction", Direction(self.direction))
+    def __new__(cls, direction: Direction | str, height: Optional[int],
+                rows: tuple[tuple[int, ...], ...]) -> "CountTable":
+        return super().__new__(cls, Direction(direction), height, rows)
 
     def count(self, n: int, k: int) -> int:
         """Paths of length n ending at level k; 0 above a row's end, except
@@ -505,7 +505,7 @@ def stabilized(direction: Direction | str, level: int, order: int) -> ZSeries:
         series = place(known, order, parity, 2)
     else:
         series = _cramer(*key, order + level, order, known)
-        known = series.coeffs[parity::2]
+        known = series[parity::2]
         bits = sum(c.bit_length() for c in known)
     if bits <= _SERIES_BITS:
         _SERIES[key] = known, bits  # the most recently used, last
@@ -553,4 +553,4 @@ def solve_system(direction: Direction | str, h: int, order: int) -> list[ZSeries
     for i in range(m - 2, -1, -1):
         for j in range(i + 1, m):
             mat[i][m] = minus_product(mat[i][m], mat[i][j], mat[j][m])
-    return [ZSeries(tuple(row[m])) for row in mat]
+    return [ZSeries(row[m]) for row in mat]

@@ -8,7 +8,7 @@ quotients vs direct elimination, formula vs brute-force oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import closed, oracle, published, roots
 from .errors import UsageError, VerificationFailure
@@ -27,18 +27,17 @@ from .strip import (
     stabilized,
 )
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+CheckResult = namedtuple("CheckResult", "name passed detail")
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    checks: list[CheckResult] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+class SuiteReport(namedtuple("SuiteReport", "suite checks notes")):
+    """A suite's name, its CheckResults and its notes, the two lists
+    filled as the suite runs."""
+
+    __slots__ = ()
+
+    def __new__(cls, suite: str) -> "SuiteReport":
+        return super().__new__(cls, suite, [], [])
 
     @property
     def passed(self) -> bool:
@@ -93,7 +92,7 @@ def _three_way_mismatch(h_max: int, order: int) -> str:
             for level in range(h + 1):
                 cram = quot(level, h, order)
                 dp_col = tuple(table.count(n, level) for n in range(order + 1))
-                if cram.coeffs != dp_col or cram != sol[level]:
+                if cram != dp_col or cram != sol[level]:
                     return f"{direction.value} h={h} level={level}"
     return ""
 
@@ -103,10 +102,10 @@ def _monotone_mismatch(small: int) -> str:
     z^small fall below the previous barrier's or rise above the limit, or
     "" if they never do."""
     for level in (0, 1, 2):
-        ref = stabilized(Direction.LR, level, small).coeffs
+        ref = stabilized(Direction.LR, level, small)
         prev = (0,) * (small + 1)
         for h in range(level, small + level + 3):
-            cur = bounded_f(level, h, small).coeffs
+            cur = bounded_f(level, h, small)
             if any(p > c or c > r for p, c, r in zip(prev, cur, ref)):
                 return f"level={level} h={h}"
             prev = cur
@@ -227,7 +226,7 @@ def suite_identities() -> SuiteReport:
     t = t_series(40)
     zf1 = zseries_of(TRational((1,), pow1t=2, zshift=2), 81)  # z*f_1
     ok = all(t[n] == zf1[2 * n] for n in range(41)) and all(
-        c == 0 for p, c in enumerate(zf1.coeffs) if p % 2 == 1
+        c == 0 for p, c in enumerate(zf1) if p % 2 == 1
     )
     rep.add("t(x) == z*f_1(z) under x=z^2 to order 40", ok)
     return rep

@@ -92,7 +92,7 @@ def test_criterion_3_three_way_equality():
             for level in range(h + 1):
                 series = quot(level, h, order)
                 dp_col = tuple(table.count(n, level) for n in range(order + 1))
-                ok = ok and series.coeffs == dp_col and series == sol[level]
+                ok = ok and series == dp_col and series == sol[level]
     report("criterion 3: DP = Cramer = banded solve (h<=10, order 20)", ok)
 
 
@@ -167,7 +167,7 @@ def test_criterion_10_t_equals_z_f1():
     f1 = zseries_of(closed.f_closed(1), 81)
     zf1 = f1.shift(1)
     ok = all(t[n] == zf1[2 * n] for n in range(41))
-    ok = ok and all(c == 0 for p, c in enumerate(zf1.coeffs) if p % 2 == 1)
+    ok = ok and all(c == 0 for p, c in enumerate(zf1) if p % 2 == 1)
     report("criterion 10: t(x) == z*f_1(z) under x=z^2 to order 40", ok)
 
 

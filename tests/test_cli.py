@@ -279,6 +279,20 @@ class TestVerify:
         assert "documented deviations" in out
         assert "printed 48967, computed 4896" in out
 
+    def test_undocumented_deviation_is_named(self, capsys, monkeypatch):
+        # a deviation the frozen set lacks fails the check, whose detail
+        # names it in the record's field=value form, the smallest first
+        from deutsch_paths import published
+
+        documented = sorted(published.DOCUMENTED_DEVIATIONS)
+        monkeypatch.setattr(published, "DOCUMENTED_DEVIATIONS", frozenset(documented[1:]))
+        code, out = run(capsys, "verify", "--suite", "paper-lists", "--format", "json")
+        assert code == 1
+        check = json.loads(out)["suites"][0]["checks"][0]
+        assert (check["passed"], check["detail"]) == (False, (
+            "extra=[Deviation(family='f', level=0, order=10, printed=268, computed=273)] "
+            "missing=[]"))
+
     def test_json_output(self, capsys):
         code, out = run(
             capsys, "verify", "--suite", "paper-lists", "--format", "json"
@@ -535,7 +549,7 @@ class TestDigitLimit:
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_long_coefficients_render(self, capsys, fmt):
-        expect = list(bounded_f(0, 40, 1700).coeffs)
+        expect = list(bounded_f(0, 40, 1700))
         with digit_limit(640):
             code, out = run(capsys, *self.ARGV, fmt)
             limit = sys.get_int_max_str_digits()
@@ -841,6 +855,58 @@ def test_benchmark_contract(tmp_path):
     served = proc.stdout.splitlines()
     assert {line.split()[0] for line in served} == {"verify-all", "unbounded-sweep", "bounded-strip"}
     assert len(served) == 6, served  # verify; unbounded series, triangle, area; bounded two
+
+
+def harness_env():
+    """The environment the benchmark's harness gives its child processes:
+    src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PERFBENCH.parent / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_traced_verify_request(tmp_path):
+    """One verify-all request served under the layer tracer, as a traced
+    benchmark run serves each: a fresh interpreter runs tracing.py, which
+    installs the tracer (patching every LAYERS name), serves the request,
+    uninstalls it and writes its side file.  A LAYERS name the package no
+    longer defines kills the run in `install`, before any output or side
+    file, where the untraced request still passes."""
+    side = tmp_path / "request-0.json"
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "tracing.py"), str(side), "0",
+         "verify", "--suite", "all", "--format", "json"],
+        env=harness_env(), cwd=PERFBENCH.parent, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (PERFBENCH / "verify_all.json").read_bytes()
+    doc = json.loads(side.read_text())
+    assert isinstance(doc["pace"], list)
+    spec = importlib.util.spec_from_file_location("tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    functions = doc["trace"]["functions"]
+    assert set(functions) == {f"{layer}.{tracing.function_name(attr)}"
+                              for layer, _, attr, *_ in tracing.LAYERS}
+    assert {name: st["errors"] for name, st in functions.items() if st["errors"]} == {}
+    assert functions["cli.main"]["calls"] == 1
+    assert (tmp_path / "request-0.spans.json").exists()
+
+
+# modules a fresh `cli` import and parser build must not load: dataclasses
+# and what it pulls in, and what only one path of a request needs (the
+# exit-3 traceback, the lifted triangle's decimal, csv's verify report)
+NOT_AT_START = ["dataclasses", "inspect", "ast", "dis", "tokenize", "traceback", "decimal", "csv"]
+
+
+def test_start_up_loads_only_what_it_runs():
+    # -S: without site, so a module the interpreter's site hooks load is not
+    # taken for one the package loads
+    probe = ("import sys; from deutsch_paths.cli import build_parser; build_parser(); "
+             "print(*[m for m in sys.argv[1:] if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, *NOT_AT_START],
+                          env=harness_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 _NUM = st.integers(-1, 8).map(str)

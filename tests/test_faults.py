@@ -17,7 +17,7 @@ from math import prod
 
 import pytest
 
-from deutsch_paths import cli, closed, oracle, series, strip, verify
+from deutsch_paths import cli, closed, oracle, published, series, strip, verify
 
 
 def mutant(func, old, new):
@@ -78,6 +78,15 @@ def g_pieces_rejected_exponent(monkeypatch):
 def lr_second_binomial_top_plus_one(monkeypatch):
     monkeypatch.setattr(closed, "count_lr_closed", mutant(
         closed.count_lr_closed, "3 * big_n - big_k + i, big_n", "3 * big_n - big_k + i + 1, big_n"))
+
+
+def lr_first_binomial_swapped(monkeypatch):
+    # C(N-K, 3N-K+i+1) is 0 for every n and k, so the count is the second
+    # term alone; published reads the name it imported, so both are patched
+    wrong = mutant(closed.count_lr_closed, "binom(3 * big_n - big_k + i + 1, big_n - big_k)",
+                   "binom(big_n - big_k, 3 * big_n - big_k + i + 1)")
+    monkeypatch.setattr(closed, "count_lr_closed", wrong)
+    monkeypatch.setattr(published, "count_lr_closed", wrong)
 
 
 def stabilized_at_barrier_level(monkeypatch):
@@ -174,6 +183,12 @@ FAULTS = {
         lr_second_binomial_top_plus_one, 1,
         {"dp-closed: LR closed form == DP (n<=20)",
          "dp-closed: generalized Catalan identity (N<=40)"}),
+    "count_lr_closed's first binomial with its arguments swapped": (
+        lr_first_binomial_swapped, 1,
+        {"dp-closed: LR closed form == DP (n<=20)",
+         "dp-closed: generalized Catalan identity (N<=40)",
+         "paper-lists: deviations match the documented errata exactly",
+         "paper-lists: f lists exact up to z^8"}),
     "stabilized at the barrier h = level": (
         stabilized_at_barrier_level, 1,
         {"cramer: bounded coefficients grow monotonically to the limit",

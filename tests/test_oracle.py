@@ -20,17 +20,17 @@ from deutsch_paths.strip import Direction, dp_counts
 
 class TestEnumerate:
     def test_lr_n4(self):
-        rep = enumerate_paths(Direction.LR, 4)
-        assert rep.by_level == {0: 3, 2: 3, 4: 1}
-        assert rep.total_area == 12
+        by_level, total_area = enumerate_paths(Direction.LR, 4)
+        assert by_level == {0: 3, 2: 3, 4: 1}
+        assert total_area == 12
 
     def test_lr_n2(self):
-        rep = enumerate_paths(Direction.LR, 2)
-        assert rep.by_level == {0: 1, 2: 1}
-        assert rep.total_area == 1
+        by_level, total_area = enumerate_paths(Direction.LR, 2)
+        assert by_level == {0: 1, 2: 1}
+        assert total_area == 1
 
     def test_rl_n2(self):
-        assert enumerate_paths(Direction.RL, 2).by_level == {0: 1, 2: 2}
+        assert enumerate_paths(Direction.RL, 2)[0] == {0: 1, 2: 2}
 
     def test_budget_enforced(self):
         with pytest.raises(ValueError):
@@ -46,9 +46,9 @@ class TestEnumerate:
         n_top = 12
         table = dp_counts(direction, n_top)
         for n in range(n_top + 1):
-            rep = enumerate_paths(direction, n)
+            by_level, _ = enumerate_paths(direction, n)
             for k in range(n + 1):
-                assert rep.by_level.get(k, 0) == table.count(n, k), (n, k)
+                assert by_level.get(k, 0) == table.count(n, k), (n, k)
 
     @pytest.mark.parametrize("direction", list(Direction))
     @pytest.mark.parametrize("h", [0, 1, 2, 5, 8])
@@ -56,19 +56,19 @@ class TestEnumerate:
         n_top = 10
         table = dp_counts(direction, n_top, height=h)
         for n in range(n_top + 1):
-            rep = enumerate_paths(direction, n, height=h)
+            by_level, _ = enumerate_paths(direction, n, height=h)
             for k in range(h + 1):
-                assert rep.by_level.get(k, 0) == table.count(n, k), (n, k)
+                assert by_level.get(k, 0) == table.count(n, k), (n, k)
 
     def test_barrier_monotone(self):
         for h in range(5):
-            lo = enumerate_paths(Direction.LR, 8, height=h).by_level
-            hi = enumerate_paths(Direction.LR, 8, height=h + 1).by_level
+            lo, _ = enumerate_paths(Direction.LR, 8, height=h)
+            hi, _ = enumerate_paths(Direction.LR, 8, height=h + 1)
             assert all(lo.get(k, 0) <= hi.get(k, 0) for k in hi)
         # equality once the barrier clears the length
         assert (
-            enumerate_paths(Direction.LR, 8, height=8).by_level
-            == enumerate_paths(Direction.LR, 8).by_level
+            enumerate_paths(Direction.LR, 8, height=8)[0]
+            == enumerate_paths(Direction.LR, 8)[0]
         )
 
 
@@ -116,10 +116,10 @@ class TestPruningAgainstRawSteps:
         for n in range(n_top + 1):
             top = n if height is None else height
             ref = list(_raw_paths(direction, n, height, top))
-            rep = enumerate_paths(direction, n, height=height)
-            assert rep.by_level == Counter(p[-1] for p in ref), (n, height)
-            assert rep.by_level.get(0, 0) == sum(p[-1] == 0 for p in ref)
-            assert rep.total_area == sum(sum(p) for p in ref if p[-1] == 0)
+            by_level, total_area = enumerate_paths(direction, n, height=height)
+            assert by_level == Counter(p[-1] for p in ref), (n, height)
+            assert by_level.get(0, 0) == sum(p[-1] == 0 for p in ref)
+            assert total_area == sum(sum(p) for p in ref if p[-1] == 0)
 
     @pytest.mark.parametrize("direction", list(Direction))
     def test_generate_closed(self, direction):
@@ -172,9 +172,9 @@ class TestWalkerAgainstRecursion:
             ref = []
             top = n if height is None else height
             reference_walk(direction, n, height, top, 16, lambda path: ref.append(tuple(path)))
-            rep = enumerate_paths(direction, n, height=height)
-            assert rep.by_level == Counter(p[-1] for p in ref), (n, height)
-            assert rep.total_area == sum(sum(p) for p in ref if p[-1] == 0), (n, height)
+            by_level, total_area = enumerate_paths(direction, n, height=height)
+            assert by_level == Counter(p[-1] for p in ref), (n, height)
+            assert total_area == sum(sum(p) for p in ref if p[-1] == 0), (n, height)
 
     @pytest.mark.parametrize("direction", list(Direction))
     def test_one_list_per_prefix(self, direction):
@@ -210,9 +210,9 @@ class TestSplitAtEveryPosition:
                 monkeypatch.setattr(oracle, "_split", lambda d, m, split=split: split)
                 walked = [p for paths in oracle._walk(direction, n, height, top, 16) for p in paths]
                 assert walked == ref, (n, height, split)
-                rep = enumerate_paths(direction, n, height=height)
-                assert rep.by_level == Counter(p[-1] for p in ref), (n, height, split)
-                assert rep.total_area == sum(sum(p) for p in ref if p[-1] == 0), (n, height, split)
+                by_level, total_area = enumerate_paths(direction, n, height=height)
+                assert by_level == Counter(p[-1] for p in ref), (n, height, split)
+                assert total_area == sum(sum(p) for p in ref if p[-1] == 0), (n, height, split)
 
 
 class TestWalkCost:

@@ -22,7 +22,7 @@ from deutsch_paths.series import (
 
 
 def zs(*coeffs):
-    return ZSeries(tuple(coeffs))
+    return ZSeries(coeffs)
 
 
 class TestZSeriesArithmetic:
@@ -47,6 +47,33 @@ class TestZSeriesArithmetic:
     def test_shift_truncates(self):
         assert zs(1, 2, 3).shift(1) == zs(0, 1, 2)
         assert zs(1, 2, 3).shift(5) == ZSeries.zero(2)
+
+
+class TestZSeriesValue:
+    def test_items_are_the_coefficients(self):
+        s = zs(1, 0, 3)
+        assert (s, len(s), s.order) == ((1, 0, 3), 3, 2)
+        assert list(s) == [1, 0, 3]
+
+    def test_slice_is_a_plain_tuple(self):
+        s = zs(1, 0, 3, 5)
+        assert s[1::2] == (0, 5) and type(s[1::2]) is tuple
+        assert s[-2:] == (3, 5)
+
+    @pytest.mark.parametrize("k", [-1, -4, 4, 9])
+    def test_int_index_outside_the_order_raises(self, k):
+        # a tuple would count a negative index from the end
+        with pytest.raises(IndexError, match=rf"z\^{k} beyond truncation order 3"):
+            zs(1, 0, 3, 5)[k]
+
+    def test_orders_differ_so_values_do(self):
+        assert ZSeries.zero(2) != ZSeries.zero(3)
+        assert ZSeries.one(2) != ZSeries.one(3)
+        assert ZSeries.one(3) == zs(1, 0, 0, 0)
+
+    def test_needs_the_constant_term(self):
+        with pytest.raises(ValueError, match="z\\^0"):
+            ZSeries(())
 
 
 def schoolbook(u, v):
@@ -102,7 +129,7 @@ class TestKernel:
         for k, c in enumerate(coeffs):
             if shift + stride * k <= order:
                 expected[shift + stride * k] = c
-        assert place(coeffs, order, shift, stride) == ZSeries(tuple(expected))
+        assert place(coeffs, order, shift, stride) == ZSeries(expected)
 
     def test_place_takes_only_what_fits(self):
         assert place(count(1), 5, 1, 2) == zs(0, 1, 0, 2, 0, 3)
@@ -139,12 +166,12 @@ class TestInverse:
 
 def dense_inverse(s):
     """The unoptimised inverse: every coefficient sums over all earlier ones."""
-    c0 = s.coeffs[0]
+    c0 = s[0]
     inv = [c0] + [0] * s.order
     for k in range(1, s.order + 1):
-        acc = sum(s.coeffs[j] * inv[k - j] for j in range(1, k + 1))
+        acc = sum(s[j] * inv[k - j] for j in range(1, k + 1))
         inv[k] = -c0 * acc
-    return ZSeries(tuple(inv))
+    return ZSeries(inv)
 
 
 @st.composite
@@ -163,20 +190,20 @@ def divisions(draw):
         keep = draw(st.sets(st.integers(0, max(order - 1, 0)), max_size=3))
         tail = [c if j in keep else 0 for j, c in enumerate(tail)]
     unit = draw(st.sampled_from([1, -1]))
-    return ZSeries(tuple(dividend)), ZSeries((unit, *tail))
+    return ZSeries(dividend), ZSeries((unit, *tail))
 
 
 class TestDivision:
     @given(divisions())
     def test_matches_dense_inverse(self, pair):
         a, b = pair
-        quot = ZSeries(tuple(divide(a.coeffs, b.coeffs)))
+        quot = ZSeries(divide(a, b))
         assert quot == a * dense_inverse(b)
         assert quot * b == a
 
     @given(divisions())
     def test_resumes_from_every_prefix(self, pair):
-        num, den = (list(s.coeffs) for s in pair)
+        num, den = (list(s) for s in pair)
         quot = divide(num, den)
         for k in range(len(quot) + 1):
             assert divide(num, den, quot[:k]) == quot, k
@@ -189,6 +216,10 @@ class TestDivision:
 
 
 class TestIntPolyDivmod:
+    def test_items_are_the_trimmed_coefficients(self):
+        assert IntPoly([1, 2, 0, 0]) == (1, 2)
+        assert IntPoly((0, 0)) == IntPoly() == ()
+
     def test_exact_and_with_remainder(self):
         assert IntPoly((-1, 0, 1)).divmod_by(IntPoly((-1, 1))) == (IntPoly((1, 1)), IntPoly())
         assert IntPoly((2, 0, 1)).divmod_by(IntPoly((-1, 1))) == (IntPoly((1, 1)), IntPoly((3,)))
@@ -328,7 +359,7 @@ class TestZSeriesOf:
     def test_truncation_consistency(self, m1, m2, k):
         lo, hi = sorted((m1, m2))
         f = TRational((1,), pow1t=k + 1, zshift=k)
-        assert zseries_of(f, hi).coeffs[: lo + 1] == zseries_of(f, lo).coeffs
+        assert zseries_of(f, hi)[: lo + 1] == zseries_of(f, lo)
 
 
 class TestTSeries:

@@ -149,3 +149,16 @@ def test_every_cache_starts_cold_in_tests():
              for name, _ in module_containers(tree)}
     reset = {f"{module.__name__.rsplit('.', 1)[1]}.{name}" for module, name in CACHES}
     assert found == reset, f"not reset: {sorted(found - reset)}, not a cache: {sorted(reset - found)}"
+
+
+def test_no_dataclasses():
+    # a value is a tuple, or a named tuple where its fields help: dataclasses,
+    # with the inspect, ast, dis and tokenize it imports, would be loaded by
+    # every fresh process that imports the cli
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert "strip.py" in trees  # an empty glob would pass vacuously
+    found = [f"{module}:{node.lineno}" for module, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses"
+                                                     for a in node.names)
+             or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"]
+    assert not found, f"dataclasses imported at {found}"
