@@ -5,9 +5,5 @@ class ConsistencyError(RuntimeError):
     """An internal cross-check failed; indicates a bug, not bad input."""
 
 
-class VerificationFailure(Exception):
-    """A verification suite found a genuine mismatch."""
-
-
 class UsageError(ValueError):
     """Bad arguments or environment, detected before any work starts."""

@@ -9,7 +9,6 @@ from itertools import chain
 from typing import Iterator, Optional
 
 from .closed import area_coeff
-from .errors import VerificationFailure
 from .strip import Direction
 
 DEFAULT_BUDGET = 16
@@ -127,38 +126,39 @@ def generate_closed(
     return list(chain.from_iterable(_walk(Direction(direction), n, None, 0, budget)))
 
 
-def reverse_check(n: int, budget: int = DEFAULT_BUDGET) -> dict[str, int]:
-    """Verify that reversing every closed LR path gives exactly the closed
-    RL paths.  Each walk is first checked for a repeated path.  Reversal is
-    injective, so with no repeats the two sets agree once the counts agree
-    and every reversed LR path is an RL path; no set of reversed paths is
-    built.  Reversal is then a bijection from the LR paths onto the RL
-    paths, and a path has the same sum as its reversal, so the area
-    multisets agree too: comparing them could never fail, and is not done."""
+def reverse_check(n: int, budget: int = DEFAULT_BUDGET) -> tuple[int, list[str]]:
+    """(closed_paths, failures): the number of closed LR paths of length n,
+    and a line for the first way the reversed LR paths fail to be exactly
+    the closed RL paths ([] when they are).  Each walk is first checked for
+    a repeated path.  Reversal is injective, so with no repeats the two sets
+    agree once the counts agree and every reversed LR path is an RL path; no
+    set of reversed paths is built.  Reversal is then a bijection from the
+    LR paths onto the RL paths, and a path has the same sum as its reversal,
+    so the area multisets agree too: comparing them could never fail, and
+    is not done."""
     if n % 2 != 0:
         raise ValueError("closed paths have even length")
     lr = generate_closed(Direction.LR, n, budget=budget)
     rl = generate_closed(Direction.RL, n, budget=budget)
     rl_set = set(rl)
     if len(set(lr)) != len(lr):
-        raise VerificationFailure(f"the LR walk repeated a path at n={n}")
+        return len(lr), [f"the LR walk repeated a path at n={n}"]
     if len(rl_set) != len(rl):
-        raise VerificationFailure(f"the RL walk repeated a path at n={n}")
+        return len(lr), [f"the RL walk repeated a path at n={n}"]
     if len(lr) != len(rl) or any(p[::-1] not in rl_set for p in lr):
-        raise VerificationFailure(f"reversed LR paths != RL paths at n={n}")
-    return {"length": n, "closed_paths": len(lr)}
+        return len(lr), [f"reversed LR paths != RL paths at n={n}"]
+    return len(lr), []
 
 
-def area_check(n_max: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, int]]:
-    """Compare the oracle's total area against the closed binomial sum for
-    every half-length n <= n_max; returns the agreed (n, area) pairs."""
-    results = []
+def area_check(n_max: int, budget: int = DEFAULT_BUDGET) -> tuple[list[int], list[str]]:
+    """(areas, failures): areas[n] is the oracle's total area over the
+    closed paths of half-length n, for n = 0..n_max, each compared with the
+    closed binomial sum.  The first mismatch ends the sweep, its area the
+    last one listed, with one failure line ([] when every n agrees)."""
+    areas = []
     for n in range(n_max + 1):
-        _, oracle = enumerate_paths(Direction.LR, 2 * n, budget=budget)
-        formula = area_coeff(n)
-        if oracle != formula:
-            raise VerificationFailure(
-                f"area mismatch at n={n}: oracle {oracle} vs formula {formula}"
-            )
-        results.append((n, formula))
-    return results
+        _, area = enumerate_paths(Direction.LR, 2 * n, budget=budget)
+        areas.append(area)
+        if area != (formula := area_coeff(n)):
+            return areas, [f"area mismatch at n={n}: oracle {area} vs formula {formula}"]
+    return areas, []

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from deutsch_paths import cli, closed, strip, verify
+from deutsch_paths import cli, closed, oracle, strip, verify
 from deutsch_paths.cli import FORMATS, build_parser, main
 from deutsch_paths.errors import ConsistencyError
 from deutsch_paths.series import ZSeries
@@ -768,6 +768,36 @@ class TestSuiteRegistry:
         checks = {c.name: (c.passed, c.detail) for c in verify.suite_dp_closed(20).checks}
         assert checks.pop("parity vanishing") == (False, "first mismatch [(18, 13)]")
         assert all(passed for passed, _ in checks.values())
+
+    def test_reversal_count_is_checked_against_cat3(self, monkeypatch):
+        # a walk that loses a path at n=4 (and the failure line reverse_check
+        # gave with it) fails that n alone, its lines joined by "; "
+        real = oracle.reverse_check
+
+        def short(n, budget):
+            return (2, ["reversed LR paths != RL paths at n=4"]) if n == 4 else real(n, budget=budget)
+
+        monkeypatch.setattr(oracle, "reverse_check", short)
+        checks = [(c.name, c.passed, c.detail) for c in verify.suite_reversal(6, 16).checks]
+        assert checks == [
+            ("reversal bijection at n=0", True, "1 paths"),
+            ("reversal bijection at n=2", True, "1 paths"),
+            ("reversal bijection at n=4", False,
+             "reversed LR paths != RL paths at n=4; 2 closed paths at n=4, not cat3(2) = 3"),
+            ("reversal bijection at n=6", True, "12 paths"),
+        ]
+
+    @pytest.mark.parametrize("returned, passed, detail", [
+        (([0, 1, 12, 102], []), True, "0 1 12 102"),
+        (([0, 1], []), False, "2 oracle areas for n<=3, not 4"),
+        # a mismatch ends the sweep, so its short list is not a second failure
+        (([0, 1], ["area mismatch at n=1: oracle 1 vs formula 2"]), False,
+         "area mismatch at n=1: oracle 1 vs formula 2"),
+    ], ids=["full", "short", "mismatch"])
+    def test_area_oracle_must_reach_nmax(self, monkeypatch, returned, passed, detail):
+        monkeypatch.setattr(oracle, "area_check", lambda n_max, budget: returned)
+        check = verify.suite_area(3, 16).checks[1]
+        assert (check.name, check.passed, check.detail) == ("oracle total area (n<=3)", passed, detail)
 
     def test_unknown_suite_fails_before_any_suite(self, monkeypatch):
         ran = []

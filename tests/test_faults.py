@@ -5,8 +5,8 @@ Every row plants one fault with `monkeypatch`, on the name its caller reads
 `verify --suite all --format json` in process, and asserts the exit code
 and the exact set of checks that fail.  A fault exits 1, or 3 where a named
 guard (`ConsistencyError`) fires; its row then names the guard's message.
-A fault that no check catches exits 0 and stays in the table, marked as
-a survivor, until a check catches it.
+A fault that no check catches would exit 0 and stay in the table, marked
+as a survivor, until a check catches it; no row does today.
 """
 
 import __future__
@@ -107,6 +107,16 @@ def steps_capped_at_five(monkeypatch):
         step for step in real(direction, level, cap) if abs(step - level) <= 5))
 
 
+def walk_keeps_no_tail(monkeypatch):
+    # every tail must end below `top`, so no closed path survives
+    monkeypatch.setattr(oracle, "_walk", mutant(oracle._walk, "at <= top", "at < top"))
+
+
+def area_sweep_two_short(monkeypatch):
+    monkeypatch.setattr(oracle, "area_check", mutant(
+        oracle.area_check, "range(n_max + 1)", "range(n_max - 1)"))
+
+
 def a9_coefficient_bumped(monkeypatch):
     # a_9 = 1 - 7x + 10x^2 - x^3: bump its last coefficient when it has two
     # or more (beta_7 has one, so a fault there could change nothing)
@@ -196,11 +206,19 @@ FAULTS = {
     "the RL ceiling in _walk one too low": (
         rl_ceiling_one_low, 1,
         {f"reversal: reversal bijection at n={n}" for n in range(2, 15, 2)}),
-    # a survivor: the one check of the oracle against another route, area's,
-    # walks closed paths of length <= 6, none of which takes a step longer
-    # than 5, and reversal compares the oracle with itself
+    # area's oracle walks closed paths of length <= 6, none of which takes a
+    # step longer than 5; reversal's count against cat3 sees the lost paths
     "_steps capped at length 5": (
-        steps_capped_at_five, 0, set()),
+        steps_capped_at_five, 1,
+        {f"reversal: reversal bijection at n={n}" for n in range(8, 15, 2)}),
+    # enumerate_paths walks to top = n, so area's oracle loses only the
+    # paths that end at n, none of them closed
+    "_walk keeps no tail that ends at top": (
+        walk_keeps_no_tail, 1,
+        {f"reversal: reversal bijection at n={n}" for n in range(0, 15, 2)}),
+    "area_check's sweep two half-lengths short": (
+        area_sweep_two_short, 1,
+        {"area: oracle total area (n<=3)"}),
 }
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from deutsch_paths.closed import cat3
 from deutsch_paths import oracle
-from deutsch_paths.errors import VerificationFailure
 from deutsch_paths.oracle import (
     area_check,
     enumerate_paths,
@@ -243,17 +242,16 @@ class TestWalkCost:
 class TestReverseCheck:
     @pytest.mark.parametrize("n", range(0, 17, 2))
     def test_bijection(self, n):
-        info = reverse_check(n, budget=16)
-        assert info == {"length": n, "closed_paths": cat3(n // 2)}
+        assert reverse_check(n, budget=16) == (cat3(n // 2), [])
 
     def test_default_budget(self):
         with pytest.raises(ValueError, match="budget 16"):
             reverse_check(18)
 
     def test_counts(self):
-        assert reverse_check(4)["closed_paths"] == 3
-        assert reverse_check(6)["closed_paths"] == 12
-        assert reverse_check(0)["closed_paths"] == 1
+        assert reverse_check(4) == (3, [])
+        assert reverse_check(6) == (12, [])
+        assert reverse_check(0) == (1, [])
 
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
@@ -268,8 +266,8 @@ class TestReverseCheck:
             return paths + paths[:1] if direction is repeated else paths
 
         monkeypatch.setattr(oracle, "generate_closed", generate)
-        with pytest.raises(VerificationFailure, match=f"the {repeated.name} walk repeated a path at n=6"):
-            reverse_check(6)
+        closed_paths = 13 if repeated is Direction.LR else 12
+        assert reverse_check(6) == (closed_paths, [f"the {repeated.name} walk repeated a path at n=6"])
 
     @pytest.mark.parametrize("edit", ["drop", "extra"])
     def test_reversal_mismatch(self, monkeypatch, edit):
@@ -283,18 +281,17 @@ class TestReverseCheck:
             return paths
 
         monkeypatch.setattr(oracle, "generate_closed", generate)
-        with pytest.raises(VerificationFailure, match="reversed LR paths != RL paths at n=6"):
-            reverse_check(6)
+        # the count is the LR walk's, which no edit touched
+        assert reverse_check(6) == (12, ["reversed LR paths != RL paths at n=6"])
 
 
 class TestAreaCheck:
     def test_small(self):
-        assert area_check(3) == [(0, 0), (1, 1), (2, 12), (3, 102)]
+        assert area_check(3) == ([0, 1, 12, 102], [])
 
-    def test_raises_on_mismatch(self, monkeypatch):
+    def test_mismatch_ends_the_sweep(self, monkeypatch):
         # sanity: the helper really compares (a bad formula, patched where
-        # area_check reads it)
+        # area_check reads it); the sweep stops at the first mismatch
         orig = oracle.area_coeff
         monkeypatch.setattr(oracle, "area_coeff", lambda n: orig(n) + (1 if n == 1 else 0))
-        with pytest.raises(VerificationFailure, match="area mismatch at n=1"):
-            area_check(2)
+        assert area_check(2) == ([0, 1], ["area mismatch at n=1: oracle 1 vs formula 2"])

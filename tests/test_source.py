@@ -1,6 +1,7 @@
 """Source hygiene: checks that read the package's code instead of running it."""
 
 import ast
+import builtins
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "deutsch_paths"
@@ -162,3 +163,28 @@ def test_no_dataclasses():
                                                      for a in node.names)
              or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"]
     assert not found, f"dataclasses imported at {found}"
+
+
+def exception_classes(trees):
+    """Every class the modules define, at any depth, that derives from a
+    builtin exception or from another such class, each as module.Class."""
+    classes = [(module, node) for module, tree in trees.items()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    found = {name for name, value in vars(builtins).items()
+             if isinstance(value, type) and issubclass(value, BaseException)}
+    def base_name(base):  # Error or module.Error
+        return base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
+
+    while grown := {node.name for _, node in classes if node.name not in found
+                    and any(base_name(b) in found for b in node.bases)}:
+        found |= grown
+    return {f"{module}.{node.name}" for module, node in classes if node.name in found}
+
+
+def test_exception_set_is_closed():
+    # one exception per nonzero exit code it stands for: UsageError is exit
+    # 2, ConsistencyError exit 3; a failed check (exit 1) is a value, the
+    # failure lines its verdict returns, never an exception
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert "errors" in trees  # an empty glob would pass vacuously
+    assert exception_classes(trees) == {"errors.UsageError", "errors.ConsistencyError"}
